@@ -93,24 +93,6 @@ let fault_arg =
            $(b,stall), $(b,nan), $(b,slow), $(b,dense_kkt) or \
            $(b,bad_round) (see docs/robustness.md).")
 
-let kkt_arg =
-  Arg.(
-    value
-    & opt (enum [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse) ])
-        `Auto
-    & info [ "kkt" ] ~docv:"BACKEND"
-        ~doc:
-          "KKT factorisation backend: $(b,auto) (the default: $(b,dense) \
-           below the instance-size threshold where both are fast and the \
-           dense path is the proven oracle, $(b,sparse) above it, where \
-           the sparse Cholesky wins decisively — see BENCH_sparse.json), \
-           $(b,dense) (force the oracle path) or $(b,sparse) (CSC \
-           Cholesky with a fill-reducing ordering — symbolic analysis \
-           once per solve, numeric refactorisation per iteration; an \
-           iteration whose sparse factorisation fails silently reruns on \
-           the dense path and is counted in the $(b,kkt fallbacks) \
-           line).  See docs/solver.md.")
-
 let no_warm_arg =
   Arg.(
     value & flag
@@ -121,20 +103,6 @@ let no_warm_arg =
            seeds every candidate; results are bit-identical with or \
            without $(b,--jobs) and across $(b,--resume), but cold starts \
            burn more interior-point iterations per candidate.")
-
-(* --kkt as solver params for Mapping.solve and the sweep drivers:
-   [None] keeps those calls on their historical hook-free path, which
-   is why `Auto resolves small instances to [None] rather than to
-   explicit dense params — bit-identical output to the seed there. *)
-let params_of_kkt kkt cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> (
-    match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
 
 (* Resolves --fault (falling back to BUDGETBUF_FAULT) to a recovery
    policy for Mapping.solve and the sweep drivers. *)
@@ -383,7 +351,7 @@ let continuous_arg =
     & info [ "continuous" ]
         ~doc:"Also print the pre-rounding continuous optimum per variable.")
 
-let do_solve () path simulate continuous output fault kkt trace metrics =
+let do_solve () path simulate continuous output fault trace metrics =
   match load_config path with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
@@ -394,11 +362,7 @@ let do_solve () path simulate continuous output fault kkt trace metrics =
     | problems ->
       List.iter (Format.eprintf "warning: %s@.") problems);
     with_obs ~trace ~metrics @@ fun obs ->
-    match
-      Mapping.solve
-        ?params:(params_of_kkt kkt cfg)
-        ?obs ~policy:(policy_of_fault fault) cfg
-    with
+    match Mapping.solve ?obs ~policy:(policy_of_fault fault) cfg with
     | Error e ->
       Format.eprintf "error: %a@." Mapping.pp_error e;
       1
@@ -473,7 +437,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc)
     Term.(
       const do_solve $ logs_term $ file_arg $ simulate_arg $ continuous_arg
-      $ output_arg $ fault_arg $ kkt_arg $ obs_trace_arg $ metrics_arg)
+      $ output_arg $ fault_arg $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* validate                                                            *)
@@ -525,7 +489,7 @@ let buffers_arg =
           "Comma-separated buffer names to cap (default: every buffer of \
            the configuration).")
 
-let do_tradeoff () path (lo, hi) buffer_names jobs fault kkt no_warm certify
+let do_tradeoff () path (lo, hi) buffer_names jobs fault no_warm certify
     resume deadline candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
@@ -562,7 +526,6 @@ let do_tradeoff () path (lo, hi) buffer_names jobs fault kkt no_warm certify
       @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
       let points =
         Tradeoff.capacity_sweep
-          ?params:(params_of_kkt kkt cfg)
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
           ~warm_start:(not no_warm) cfg ~buffers ~caps
@@ -637,7 +600,7 @@ let tradeoff_cmd =
     (Cmd.info "tradeoff" ~doc)
     Term.(
       const do_tradeoff $ logs_term $ file_arg $ caps_arg $ buffers_arg
-      $ jobs_arg $ fault_arg $ kkt_arg $ no_warm_arg $ certify_arg
+      $ jobs_arg $ fault_arg $ no_warm_arg $ certify_arg
       $ resume_arg $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg
       $ metrics_arg)
 
@@ -1117,7 +1080,7 @@ let steps_arg =
     value & opt int 9
     & info [ "steps" ] ~docv:"N" ~doc:"Number of weight ratios to sweep.")
 
-let do_pareto () path steps jobs fault kkt no_warm certify resume deadline
+let do_pareto () path steps jobs fault no_warm certify resume deadline
     candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
@@ -1140,7 +1103,6 @@ let do_pareto () path steps jobs fault kkt no_warm certify resume deadline
       @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
       let sweep =
         Budgetbuf.Pareto.frontier ~steps
-          ?params:(params_of_kkt kkt cfg)
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
           ~warm_start:(not no_warm) cfg
@@ -1188,14 +1150,14 @@ let pareto_cmd =
   Cmd.v (Cmd.info "pareto" ~doc)
     Term.(
       const do_pareto $ logs_term $ file_arg $ steps_arg $ jobs_arg
-      $ fault_arg $ kkt_arg $ no_warm_arg $ certify_arg $ resume_arg
+      $ fault_arg $ no_warm_arg $ certify_arg $ resume_arg
       $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dse                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let do_dse () path (lo, hi) jobs fault kkt no_warm certify resume deadline
+let do_dse () path (lo, hi) jobs fault no_warm certify resume deadline
     candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
@@ -1219,7 +1181,6 @@ let do_dse () path (lo, hi) jobs fault kkt no_warm certify resume deadline
       @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
       let points =
         Budgetbuf.Dse.throughput_curve
-          ?params:(params_of_kkt kkt cfg)
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
           ~warm_start:(not no_warm) cfg ~caps
@@ -1268,7 +1229,7 @@ let dse_cmd =
   Cmd.v (Cmd.info "dse" ~doc)
     Term.(
       const do_dse $ logs_term $ file_arg $ caps_arg $ jobs_arg $ fault_arg
-      $ kkt_arg $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
+      $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
       $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1742,7 +1703,7 @@ let serve_quarantine_arg =
            crash-safe journal discipline as $(b,--cache)); crash counts \
            survive server restarts.  Needs $(b,--isolate).")
 
-let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
+let do_serve () socket cache cache_max queue batch jobs deadline chaos
     reconcile watchdog isolate rlimit_mem rlimit_cpu poison quarantine trace
     metrics =
   match
@@ -1782,7 +1743,6 @@ let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
         default_deadline_s = deadline;
         cache_path = cache;
         cache_max_entries = cache_max;
-        kkt;
         obs;
         signals = true;
         halt_after_admits = None;
@@ -1834,7 +1794,7 @@ let serve_cmd =
     Term.(
       const do_serve $ logs_term $ socket_arg $ serve_cache_arg
       $ serve_cache_max_arg $ serve_queue_arg $ serve_batch_arg $ jobs_arg
-      $ serve_deadline_arg $ kkt_arg $ serve_chaos_arg $ serve_reconcile_arg
+      $ serve_deadline_arg $ serve_chaos_arg $ serve_reconcile_arg
       $ serve_watchdog_arg $ serve_isolate_arg $ serve_rlimit_mem_arg
       $ serve_rlimit_cpu_arg $ serve_poison_arg $ serve_quarantine_arg
       $ obs_trace_arg $ metrics_arg)
@@ -1938,12 +1898,19 @@ let do_request () socket op ping file id deadline fault retry =
     Format.eprintf "error: %s@." msg;
     2
   | Ok request -> (
-    match
+    let reply =
       if retry then Serve.Client.submit ~socket request
       else
         Serve.Client.with_connection socket (fun c ->
             Serve.Client.roundtrip c request)
-    with
+    in
+    (* The exchange is over.  With SIGPIPE back at its default, a
+       reader that stops early ([request admit … | head -1]) ends the
+       client quietly, as it ends every other command; ignored, the
+       write would fail with EPIPE and the exit-time flush would raise
+       it a second time. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_default;
+    match reply with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       2

@@ -53,7 +53,7 @@ type params = {
 let default_params =
   { max_iter = 100; feastol = 1e-7; abstol = 1e-7; reltol = 1e-7;
     step_fraction = 0.99; presolve = Presolve_auto; inject = None;
-    deadline = None; obs = None; kkt = `Dense; warm = None }
+    deadline = None; obs = None; kkt = `Sparse; warm = None }
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"

@@ -97,14 +97,14 @@ type params = {
           sweep engines forward it without extra plumbing.  See
           docs/observability.md. *)
   kkt : [ `Dense | `Sparse ];
-      (** KKT factorisation backend, default [`Dense].  [`Sparse] runs
-          the normal equations through {!Linalg.Sparse}: one symbolic
+      (** KKT factorisation backend, default [`Sparse]: the normal
+          equations run through {!Linalg.Sparse} — one symbolic
           analysis per solve, one numeric refactorisation per
-          iteration, falling back to the dense path (counted in
+          iteration — falling back to the dense path (counted in
           {!solution.kkt_fallbacks}) for any iteration whose sparse
-          factorisation fails.  Both backends satisfy the same
-          tolerances; the dense path is the differential-testing
-          oracle.  See docs/solver.md. *)
+          factorisation fails.  [`Dense] is the differential-testing
+          oracle (and the [Jittered] recovery rung's pin); both
+          backends satisfy the same tolerances.  See docs/solver.md. *)
   warm : warm option;
       (** optional warm-start point (default [None] — cold start). *)
 }

@@ -56,54 +56,56 @@ let round_capacity = Rounding.round_capacity
 
 (* TDM-simulation cross-check of a rounded mapping: the dataflow model
    is conservative, so a mapping whose PAS admits period µ must
-   simulate close to µ or better.  A deadlock (or a gross period miss)
-   means the mapping is unusable regardless of what the solver
-   claimed; a small transient overshoot is reported but tolerated —
-   200 iterations measure the steady state through a startup phase. *)
+   simulate close to µ or better.  One 200-iteration run yields two
+   verdicts.  The soft notes report a small overshoot, tolerated
+   because 200 iterations measure the steady state through a startup
+   phase.  The hard failure proves the mapping unusable regardless of
+   what the solver claimed: a deadlock, invalid budgets, or a period
+   beyond any startup effect. *)
 let sim_soft_margin = 1.10
 let sim_hard_margin = 1.5
 
-let sim_cross_check cfg mapped =
-  if Config.all_tasks cfg = [] then []
+let sim_check cfg mapped =
+  if Config.all_tasks cfg = [] then ([], None)
   else
     match Tdm_sim.Sim.run cfg mapped ~iterations:200 () with
-    | Error e -> [ Printf.sprintf "simulation failed: %s" e ]
+    | Error e ->
+      let msg = Printf.sprintf "simulation failed: %s" e in
+      ([ msg ], Some msg)
     | Ok report ->
-      List.concat_map
-        (fun g ->
-          let mu = Config.period cfg g in
-          let p = report.Tdm_sim.Sim.graph_period g in
-          if p > (sim_soft_margin *. mu) +. 1e-9 then
-            [
-              Printf.sprintf
-                "simulation: graph %s measured period %.4f exceeds required \
-                 %.4f"
-                (Config.graph_name cfg g) p mu;
-            ]
-          else [])
-        (Config.graphs cfg)
-
-(* A sim verdict that proves the mapping unusable (as opposed to a
-   transient measurement overshoot): deadlock, invalid budgets, or a
-   period beyond any startup effect. *)
-let sim_hard_failure cfg mapped =
-  if Config.all_tasks cfg = [] then None
-  else
-    match Tdm_sim.Sim.run cfg mapped ~iterations:200 () with
-    | Error e -> Some (Printf.sprintf "simulation failed: %s" e)
-    | Ok report ->
-      List.find_map
-        (fun g ->
-          let mu = Config.period cfg g in
-          let p = report.Tdm_sim.Sim.graph_period g in
-          if p > sim_hard_margin *. mu then
-            Some
-              (Printf.sprintf
-                 "simulation: graph %s measured period %.4f far exceeds \
-                  required %.4f"
-                 (Config.graph_name cfg g) p mu)
-          else None)
-        (Config.graphs cfg)
+      let measured =
+        List.map
+          (fun g ->
+            ( Config.graph_name cfg g,
+              report.Tdm_sim.Sim.graph_period g,
+              Config.period cfg g ))
+          (Config.graphs cfg)
+      in
+      let soft =
+        List.filter_map
+          (fun (name, p, mu) ->
+            if p > (sim_soft_margin *. mu) +. 1e-9 then
+              Some
+                (Printf.sprintf
+                   "simulation: graph %s measured period %.4f exceeds \
+                    required %.4f"
+                   name p mu)
+            else None)
+          measured
+      in
+      let hard =
+        List.find_map
+          (fun (name, p, mu) ->
+            if p > sim_hard_margin *. mu then
+              Some
+                (Printf.sprintf
+                   "simulation: graph %s measured period %.4f far exceeds \
+                    required %.4f"
+                   name p mu)
+            else None)
+          measured
+      in
+      (soft, hard)
 
 let rounded_objective_of cfg (mapped : Config.mapped) =
   List.fold_left
@@ -148,6 +150,16 @@ let corrupt_rounding cfg (mapped : Config.mapped) =
     | [] -> mapped
   end
 
+(* A warm-started optimum may overshoot a capacity bound by more than
+   the rounding snap yet within solver tolerance, so that ⌈δ′⌉ lands
+   one past the bound.  That mapping is always refuted, so pulling the
+   capacity back to the bound never makes a result worse; the
+   certifier still decides whether the bounded mapping holds. *)
+let clamp_capacity cfg b c =
+  match Config.max_capacity cfg b with
+  | Some cap when c > cap -> cap
+  | Some _ | None -> c
+
 (* Round and certify an Optimal continuous point.  Certification is in
    three tiers: the float Bellman–Ford re-verification (reported in
    [verification] as before) and the exact rational certificate
@@ -171,9 +183,10 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
       List.map
         (fun b ->
           ( Config.buffer_id b,
-            Rounding.round_capacity_eps ~eps
-              ~initial_tokens:(Config.initial_tokens cfg b)
-              (continuous.Socp_builder.space b) ))
+            clamp_capacity cfg b
+              (Rounding.round_capacity_eps ~eps
+                 ~initial_tokens:(Config.initial_tokens cfg b)
+                 (continuous.Socp_builder.space b)) ))
         (Config.all_buffers cfg)
     in
     {
@@ -224,7 +237,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
                (if Certify.certified certificate then "certified"
                 else "refuted");
            }));
-    let sim_check = sim_cross_check cfg mapped in
+    let sim_check, sim_failure = sim_check cfg mapped in
     let uncertifiable msg =
       Error
         (Solver_failure
@@ -239,10 +252,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
     else if Recovery.recovered trace && not (Certify.certified certificate)
     then uncertifiable (Certify.summary certificate)
     else
-      (match
-         if Recovery.recovered trace then sim_hard_failure cfg mapped
-         else None
-       with
+      (match if Recovery.recovered trace then sim_failure else None with
       | Some msg -> uncertifiable msg
       | None ->
         Ok
@@ -303,12 +313,14 @@ let fallback_lp cfg ~obs trace stats final_status =
     let mapped = tp.Two_phase.mapped in
     let verification = Dataflow_model.verify cfg mapped in
     let certificate = tp.Two_phase.certificate in
-    let hard =
+    let sim_check, hard =
       if verification <> [] then
-        Some (String.concat "; " (List.map Violation.to_string verification))
+        ( [],
+          Some (String.concat "; " (List.map Violation.to_string verification))
+        )
       else if not (Certify.certified certificate) then
-        Some (Certify.summary certificate)
-      else sim_hard_failure cfg mapped
+        ([], Some (Certify.summary certificate))
+      else sim_check cfg mapped
     in
     (match hard with
     | Some msg ->
@@ -346,24 +358,10 @@ let fallback_lp cfg ~obs trace stats final_status =
           rounded_objective = tp.Two_phase.objective;
           verification;
           certificate;
-          sim_check = sim_cross_check cfg mapped;
+          sim_check;
           recovery = trace;
           stats = { stats with attempts = stats.attempts + 1 };
         })
-
-(* The sparse backend wins decisively on large instances (BENCH_sparse:
-   ~5x at a 30-task chain, ~23x at 300) while small instances are both
-   fast either way and pinned bit-identical to the historical dense
-   path by the cram goldens.  The threshold counts solver entities
-   (tasks + buffers), which tracks the KKT system dimension. *)
-let sparse_auto_threshold = 48
-
-let kkt_auto cfg =
-  let n =
-    List.length (Taskgraph.Config.all_tasks cfg)
-    + List.length (Taskgraph.Config.all_buffers cfg)
-  in
-  if n >= sparse_auto_threshold then `Sparse else `Dense
 
 let solve ?params ?policy ?obs cfg =
   let policy =

@@ -92,18 +92,6 @@ val solve :
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
-(** [kkt_auto cfg] picks the KKT backend for an instance whose caller
-    did not force one: [`Sparse] when the instance counts at least
-    {!sparse_auto_threshold} tasks plus buffers (where the sparse
-    Cholesky is measurably ahead, see BENCH_sparse.json), [`Dense]
-    below it — the proven oracle path, bit-identical to the historical
-    behaviour on small instances. *)
-val kkt_auto : Taskgraph.Config.t -> [ `Dense | `Sparse ]
-
-(** Size threshold (tasks + buffers) at which {!kkt_auto} switches to
-    the sparse backend. *)
-val sparse_auto_threshold : int
-
 (** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
     tolerance so values within 1e-9 of a grid point do not round up an
     extra granule.  (= {!Rounding.round_budget}.) *)

@@ -30,7 +30,6 @@ type config = {
   default_deadline_s : float option;
   cache_path : string option;
   cache_max_entries : int option;
-  kkt : [ `Auto | `Dense | `Sparse ];
   obs : Obs.Ctx.t option;
   signals : bool;
   halt_after_admits : int option;
@@ -55,7 +54,6 @@ let default_config ~socket_path =
     default_deadline_s = None;
     cache_path = None;
     cache_max_entries = None;
-    kkt = `Auto;
     obs = None;
     signals = false;
     halt_after_admits = None;
@@ -341,15 +339,6 @@ let release state id =
 
 (* ---- solving ----------------------------------------------------- *)
 
-let base_params scfg cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match scfg.kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> ( match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
-
 let policy_for job =
   let base = Robust.Recovery.default_policy () in
   match job.fault with
@@ -424,9 +413,8 @@ let solve_isolated state sup job =
 
 let solve_in_process state job =
   let params =
-    Durability.params_with_deadline
-      (base_params state.scfg job.job_cfg)
-      ~deadline:job.deadline ~candidate_deadline:None
+    Durability.params_with_deadline None ~deadline:job.deadline
+      ~candidate_deadline:None
   in
   let params = Durability.params_with_obs params state.scfg.obs in
   let policy = policy_for job in
@@ -987,14 +975,6 @@ let run scfg =
                 {
                   base with
                   Supervisor.slots;
-                  worker_args =
-                    [
-                      "--kkt";
-                      (match scfg.kkt with
-                      | `Auto -> "auto"
-                      | `Dense -> "dense"
-                      | `Sparse -> "sparse");
-                    ];
                   rlimit_mem_mb = scfg.rlimit_mem_mb;
                   rlimit_cpu_s = scfg.rlimit_cpu_s;
                   obs = scfg.obs;

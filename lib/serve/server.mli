@@ -46,9 +46,6 @@ type config = {
   cache_max_entries : int option;
       (** bound the memo cache (FIFO eviction) and arm size-triggered
           journal compaction; [None] = unbounded, never compacts *)
-  kkt : [ `Auto | `Dense | `Sparse ];
-      (** KKT backend for the solves; [`Auto] picks per instance via
-          {!Budgetbuf.Mapping.kkt_auto} *)
   obs : Obs.Ctx.t option;  (** request/cache/shed trace events and metrics *)
   signals : bool;
       (** install SIGINT/SIGTERM handlers for graceful drain (the CLI
@@ -93,8 +90,7 @@ type config = {
 
 (** [default_config ~socket_path] is a serving-ready configuration:
     queue 16, batch = domains = 1, no default deadline, no cache
-    (unbounded when enabled), KKT [`Auto], no signals, no chaos, no
-    reconcile, watchdog grace 1 s, no isolation (poison threshold 2
+    (unbounded when enabled), no signals, no chaos, no reconcile, watchdog grace 1 s, no isolation (poison threshold 2
     once isolation is switched on). *)
 val default_config : socket_path:string -> config
 

@@ -179,17 +179,7 @@ let oom () =
   ignore (List.length !hold);
   exit 2
 
-let base_params ~kkt cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> (
-    match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
-
-let solve_task ~kkt task =
+let solve_task task =
   match
     let cfg =
       try Ok (Taskgraph.Parse.config_of_string task.task_config)
@@ -226,8 +216,7 @@ let solve_task ~kkt task =
       | None -> Durable.Deadline.none
     in
     let params =
-      Durability.params_with_deadline (base_params ~kkt cfg) ~deadline
-        ~candidate_deadline:None
+      Durability.params_with_deadline None ~deadline ~candidate_deadline:None
     in
     let policy =
       let base = Robust.Recovery.default_policy () in
@@ -253,37 +242,15 @@ let solve_task ~kkt task =
     | exception exn -> R_failed (Printexc.to_string exn))
 
 (* The hidden [budgetbuf worker] entry point.  argv is the full
-   [Sys.argv] list; everything after "worker" is worker flags (only
-   [--kkt auto|dense|sparse] today).  Exit 0 on EOF — the supervisor
-   closed our stdin — and 2 on a usage error. *)
+   [Sys.argv] list; the worker takes no flags, so anything after
+   "worker" is a usage error.  Exit 0 on EOF — the supervisor closed
+   our stdin — and 2 on a usage error. *)
 let main argv =
-  let kkt = ref `Auto in
-  let rec parse_args = function
-    | [] -> Ok ()
-    | "--kkt" :: v :: rest -> (
-      match v with
-      | "auto" ->
-        kkt := `Auto;
-        parse_args rest
-      | "dense" ->
-        kkt := `Dense;
-        parse_args rest
-      | "sparse" ->
-        kkt := `Sparse;
-        parse_args rest
-      | v -> Error (Printf.sprintf "worker: bad --kkt %S" v))
-    | arg :: _ -> Error (Printf.sprintf "worker: unknown argument %S" arg)
-  in
-  let args =
-    match argv with
-    | _exe :: "worker" :: rest -> rest
-    | _ -> []
-  in
-  match parse_args args with
-  | Error msg ->
-    prerr_endline msg;
+  match argv with
+  | _exe :: "worker" :: arg :: _ ->
+    prerr_endline (Printf.sprintf "worker: unknown argument %S" arg);
     2
-  | Ok () -> (
+  | _ -> (
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
     write_line Unix.stdout (hello_line ());
     let frames = Wire.Framer.create () in
@@ -294,7 +261,7 @@ let main argv =
         let id, reply =
           match parse_task line with
           | Error reason -> ("", R_failed reason)
-          | Ok task -> (task.task_id, solve_task ~kkt:!kkt task)
+          | Ok task -> (task.task_id, solve_task task)
         in
         write_line Unix.stdout (reply_line ~id reply);
         serve ()

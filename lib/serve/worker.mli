@@ -63,7 +63,6 @@ val write_line : Unix.file_descr -> string -> unit
 
 (** [main argv] runs the worker loop on stdin/stdout and returns the
     process exit code.  [argv] is the full [Sys.argv] as a list; the
-    flags after ["worker"] are the worker's own ([--kkt
-    auto|dense|sparse]).  Dispatched by the CLI before its normal
+    worker takes no flags, so any argument after ["worker"] exits 2.  Dispatched by the CLI before its normal
     command parsing, so the mode stays out of [--help]. *)
 val main : string list -> int

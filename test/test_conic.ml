@@ -315,7 +315,8 @@ let prop_ipm_matches_simplex =
 
 let prop_socp_kkt =
   (* For random strictly feasible SOCPs: solution satisfies primal
-     feasibility and complementarity to tolerance. *)
+     feasibility and complementarity to tolerance, on both KKT
+     backends. *)
   QCheck2.Test.make ~name:"random SOCP solutions satisfy KKT" ~count:40
     QCheck2.Gen.(
       pair
@@ -332,14 +333,16 @@ let prop_socp_kkt =
           (Array.to_list
              (Array.mapi (fun i v -> Model.sub (Model.var v) (Model.const center.(i))) xs));
       Model.minimize m (Model.sum (Array.to_list (Array.map Model.var xs)));
-      let r = Model.solve m in
-      if r.Model.status <> Socp.Optimal then false
-      else begin
-        let expected =
-          Array.fold_left ( +. ) 0.0 center -. (radius *. sqrt (float_of_int n))
-        in
-        Float.abs (r.Model.objective -. expected) <= 1e-4 *. Float.max 1.0 (Float.abs expected)
-      end)
+      let expected =
+        Array.fold_left ( +. ) 0.0 center -. (radius *. sqrt (float_of_int n))
+      in
+      List.for_all
+        (fun kkt ->
+          let r = Model.solve ~params:{ Socp.default_params with Socp.kkt } m in
+          r.Model.status = Socp.Optimal
+          && Float.abs (r.Model.objective -. expected)
+             <= 1e-4 *. Float.max 1.0 (Float.abs expected))
+        [ `Dense; `Sparse ])
 
 
 (* ------------------------------------------------------------------ *)

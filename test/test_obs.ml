@@ -417,8 +417,8 @@ let test_traced_solve_matches_plain () =
 (* The sparse KKT path announces its factorisation schedule: exactly
    one symbolic analysis per interior-point attempt, then one numeric
    refactorisation per iteration — the cost model docs/solver.md sells.
-   A dense solve of the same instance emits no kkt_factor events at
-   all, so existing dense goldens cannot move. *)
+   A dense solve (the oracle backend) of the same instance emits no
+   kkt_factor events at all. *)
 let test_sparse_solve_trace_shape () =
   let cfg = Workloads.Gen.paper_t1 () in
   let params =
@@ -463,7 +463,10 @@ let test_sparse_solve_trace_shape () =
     events;
   (* The dense oracle path stays silent. *)
   let dense_sink = Sink.ring ~capacity:4096 in
-  (match Mapping.solve ~obs:(Ctx.make ~sink:dense_sink ()) cfg with
+  let dense = { Conic.Socp.default_params with Conic.Socp.kkt = `Dense } in
+  (match
+     Mapping.solve ~params:dense ~obs:(Ctx.make ~sink:dense_sink ()) cfg
+   with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "paper T1 must solve");
   Alcotest.(check int)

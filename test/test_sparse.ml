@@ -21,7 +21,10 @@ module Socp_builder = Budgetbuf.Socp_builder
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* Both backends are named explicitly: the production default is
+   sparse, and the dense path is the oracle the sparse one must match. *)
 let sparse_params = { Socp.default_params with Socp.kkt = `Sparse }
+let dense_params = { Socp.default_params with Socp.kkt = `Dense }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse symmetric construction                                       *)
@@ -287,7 +290,7 @@ let prop_differential_oracle =
     (fun (n, seed) ->
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg = Workloads.Gen.random_chain rng ~n () in
-      let dense = Mapping.solve cfg in
+      let dense = Mapping.solve ~params:dense_params cfg in
       let sparse = Mapping.solve ~params:sparse_params cfg in
       match (dense, sparse) with
       | Ok d, Ok s ->
@@ -305,7 +308,8 @@ let test_oracle_on_paper_instances () =
   List.iter
     (fun cfg ->
       match
-        (Mapping.solve cfg, Mapping.solve ~params:sparse_params cfg)
+        ( Mapping.solve ~params:dense_params cfg,
+          Mapping.solve ~params:sparse_params cfg )
       with
       | Ok d, Ok s ->
         Alcotest.(check bool)
@@ -330,7 +334,10 @@ let test_sparse_infeasible_agrees () =
   let wa = Config.add_task cfg g ~name:"wa" ~proc:p1 ~wcet:1.0 () in
   let wb = Config.add_task cfg g ~name:"wb" ~proc:p2 ~wcet:1.0 () in
   ignore (Config.add_buffer cfg g ~name:"b" ~src:wa ~dst:wb ~memory:m ());
-  match (Mapping.solve cfg, Mapping.solve ~params:sparse_params cfg) with
+  match
+    ( Mapping.solve ~params:dense_params cfg,
+      Mapping.solve ~params:sparse_params cfg )
+  with
   | Error (Mapping.Infeasible _), Error (Mapping.Infeasible _) -> ()
   | _ -> Alcotest.fail "both backends must report infeasibility"
 
@@ -397,35 +404,15 @@ let prop_warm_start_preserves_oracle =
       let params =
         Budgetbuf.Durability.params_with_warm (Some sparse_params) anchor
       in
-      match (Mapping.solve cfg, Mapping.solve ?params cfg) with
+      match
+        (Mapping.solve ~params:dense_params cfg, Mapping.solve ?params cfg)
+      with
       | Ok d, Ok s ->
         rel_close d.Mapping.objective s.Mapping.objective
         && Certify.certified s.Mapping.certificate
       | Error de, Error se ->
         String.equal (Mapping.short_reason de) (Mapping.short_reason se)
       | Ok _, Error _ | Error _, Ok _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Automatic backend dispatch                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* `Auto keys on tasks + buffers against [sparse_auto_threshold]: the
-   paper instances (3 entities) stay on the bit-identical dense path, a
-   chain of n tasks has 2n - 1 entities and flips to sparse at the
-   first n past the threshold. *)
-let test_kkt_auto_dispatch () =
-  Alcotest.(check bool)
-    "paper t1 stays dense" true
-    (Mapping.kkt_auto (Workloads.Gen.paper_t1 ()) = `Dense);
-  Alcotest.(check bool)
-    "paper t2 stays dense" true
-    (Mapping.kkt_auto (Workloads.Gen.paper_t2 ()) = `Dense);
-  let at n = Mapping.kkt_auto (Workloads.Gen.chain ~n ()) in
-  let t = Mapping.sparse_auto_threshold in
-  let below = t / 2 (* 2n - 1 = t - 1 < t *)
-  and above = (t / 2) + 1 (* 2n - 1 = t + 1 >= t *) in
-  Alcotest.(check bool) "below threshold is dense" true (at below = `Dense);
-  Alcotest.(check bool) "above threshold is sparse" true (at above = `Sparse)
 
 (* ------------------------------------------------------------------ *)
 
@@ -484,9 +471,6 @@ let () =
             test_sparse_infeasible_agrees;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_differential_oracle ] );
-      ( "auto dispatch",
-        [ Alcotest.test_case "kkt_auto threshold" `Quick test_kkt_auto_dispatch ]
-      );
       ( "warm starts",
         [
           Alcotest.test_case "reaches same optimum" `Quick
