@@ -424,11 +424,7 @@ let do_solve () path simulate continuous output fault trace metrics =
                 (Config.period cfg g))
             (Config.graphs cfg)
       end);
-      if
-        r.Mapping.verification = []
-        && Budgetbuf.Certify.certified r.Mapping.certificate
-      then 0
-      else 1
+      if Budgetbuf.Certify.certified r.Mapping.certificate then 0 else 1
   end
 
 let solve_cmd =
@@ -730,7 +726,7 @@ let do_check () path mapped_path =
       Format.eprintf "error: %s@." msg;
       1
     | Ok mapped -> begin
-      match Budgetbuf.Dataflow_model.verify cfg mapped with
+      match Budgetbuf.Certify.(violations (check cfg mapped)) with
       | [] ->
         List.iter
           (fun g ->

@@ -85,109 +85,6 @@ let throughput_ok cfg g (mapped : Config.mapped) =
     Analysis.pas_exists model.srdf ~period:(Config.period cfg g)
   | exception Invalid_argument _ -> false
 
-(* End-to-end latency of the earliest PAS, for graphs with a unique
-   source/sink pair; [None] when no PAS exists (the throughput check
-   reports that case separately). *)
-let latency_of cfg g (mapped : Config.mapped) =
-  let tasks = Config.tasks cfg g and buffers = Config.buffers cfg g in
-  let has_input w = List.exists (fun b -> Config.buffer_dst cfg b = w) buffers in
-  let has_output w = List.exists (fun b -> Config.buffer_src cfg b = w) buffers in
-  match
-    ( List.filter (fun w -> not (has_input w)) tasks,
-      List.filter (fun w -> not (has_output w)) tasks )
-  with
-  | [ src ], [ snk ] -> begin
-    match
-      build cfg g ~budget:mapped.Config.budget
-        ~capacity:mapped.Config.capacity
-    with
-    | exception Invalid_argument _ -> None
-    | model -> begin
-      let srdf = model.srdf in
-      match Analysis.pas_start_times srdf ~period:(Config.period cfg g) with
-      | None -> None
-      | Some s ->
-        let v_src = model.actor1 src and v_dst = model.actor2 snk in
-        Some
-          (s.(Srdf.actor_id v_dst) +. Srdf.duration srdf v_dst
-          -. s.(Srdf.actor_id v_src))
-    end
-  end
-  | _ -> None
-
-let verify cfg (mapped : Config.mapped) =
-  let problems = ref [] in
-  let add v = problems := v :: !problems in
-  List.iter
-    (fun g ->
-      if not (throughput_ok cfg g mapped) then
-        add
-          (Violation.Throughput
-             { graph = Config.graph_name cfg g; period = Config.period cfg g }))
-    (Config.graphs cfg);
-  List.iter
-    (fun p ->
-      let used =
-        List.fold_left
-          (fun acc w -> acc +. mapped.Config.budget w)
-          (Config.overhead cfg p)
-          (Config.tasks_on cfg p)
-      in
-      if used > Config.replenishment cfg p +. 1e-9 then
-        add
-          (Violation.Processor_capacity
-             {
-               proc = Config.proc_name cfg p;
-               used;
-               capacity = Config.replenishment cfg p;
-             }))
-    (Config.processors cfg);
-  List.iter
-    (fun m ->
-      let used =
-        List.fold_left
-          (fun acc b ->
-            acc + (mapped.Config.capacity b * Config.container_size cfg b))
-          0 (Config.buffers_in cfg m)
-      in
-      if used > Config.memory_capacity cfg m then
-        add
-          (Violation.Memory_capacity
-             {
-               memory = Config.memory_name cfg m;
-               used;
-               capacity = Config.memory_capacity cfg m;
-             }))
-    (Config.memories cfg);
-  List.iter
-    (fun g ->
-      match Config.latency_bound cfg g with
-      | None -> ()
-      | Some bound -> begin
-        match latency_of cfg g mapped with
-        | None -> () (* throughput check already reported the failure *)
-        | Some l ->
-          if l > bound +. 1e-6 then
-            add
-              (Violation.Latency
-                 { graph = Config.graph_name cfg g; latency = l; bound })
-      end)
-    (Config.graphs cfg);
-  List.iter
-    (fun b ->
-      match Config.max_capacity cfg b with
-      | Some cap when mapped.Config.capacity b > cap ->
-        add
-          (Violation.Buffer_bound
-             {
-               buffer = Config.buffer_name cfg b;
-               capacity = mapped.Config.capacity b;
-               bound = cap;
-             })
-      | Some _ | None -> ())
-    (Config.all_buffers cfg);
-  List.rev !problems
-
 let min_feasible_period cfg g (mapped : Config.mapped) =
   match
     build cfg g ~budget:mapped.Config.budget ~capacity:mapped.Config.capacity

@@ -38,18 +38,12 @@ val build :
   capacity:(Taskgraph.Config.buffer -> int) ->
   t
 
-(** [throughput_ok cfg g mapped] checks that the mapped budgets and
-    capacities admit a PAS with period [µ(g)]. *)
+(** [throughput_ok cfg g mapped] checks, in floating point, that the
+    mapped budgets and capacities admit a PAS with period [µ(g)] — for
+    slack searches; {!Certify.check} decides constraints (1)–(10). *)
 val throughput_ok :
   Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
   bool
-
-(** [verify cfg mapped] checks the whole mapped configuration:
-    throughput of every task graph (via {!throughput_ok}), processor
-    budget capacity (Constraint (4) plus overhead), and memory
-    capacity.  Returns the list of structured violations, empty when
-    the mapping is valid; render with {!Violation.to_string}. *)
-val verify : Taskgraph.Config.t -> Taskgraph.Config.mapped -> Violation.t list
 
 (** [min_feasible_period cfg g mapped] is the smallest period the
     mapped graph can sustain (its SRDF maximum cycle ratio), useful for

@@ -107,19 +107,6 @@ let sim_check cfg mapped =
       in
       (soft, hard)
 
-let rounded_objective_of cfg (mapped : Config.mapped) =
-  List.fold_left
-    (fun acc w -> acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
-    0.0 (Config.all_tasks cfg)
-  +. List.fold_left
-       (fun acc b ->
-         acc
-         +. Config.buffer_weight cfg b
-            *. float_of_int
-                 (Config.container_size cfg b
-                 * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
-       0.0 (Config.all_buffers cfg)
-
 (* The [bad_round] fault: corrupt the rounded solution — one budget
    down a granule (or, lacking tasks, one capacity down a container) —
    so tests can pin the exact-certification refutation path against a
@@ -160,13 +147,11 @@ let clamp_capacity cfg b c =
   | Some cap when c > cap -> cap
   | Some _ | None -> c
 
-(* Round and certify an Optimal continuous point.  Certification is in
-   three tiers: the float Bellman–Ford re-verification (reported in
-   [verification] as before) and the exact rational certificate
-   ([certificate]) always run; on a *recovered* solve the mapping must
-   additionally pass both — and the simulation hard check — or the
-   degraded solve is turned into an error rather than silently
-   returned. *)
+(* Round and certify an Optimal continuous point.  The exact rational
+   certificate decides constraints (1)–(10) and [verification] is
+   derived from it; on a *recovered* solve the mapping must also be
+   certified — and pass the simulation hard check — or the degraded
+   solve is turned into an error rather than silently returned. *)
 let finish_optimal cfg ~policy ~obs builder result trace stats =
   let continuous = Socp_builder.extract cfg builder result in
   let granularity = Config.granularity cfg in
@@ -195,19 +180,16 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
     }
   in
   match
-    (* Snap near-grid values first; if either re-check rejects that
+    (* Snap near-grid values first; if the certifier refutes that
        (possible only when the optimum genuinely sits past a grid
-       point — the exact certifier decides the boundary the float
-       check cannot), fall back to the strictly conservative
-       rounding. *)
-    let mapped, verification, certificate =
+       point), fall back to the strictly conservative rounding. *)
+    let mapped, certificate =
       let snapped = mapped_with Rounding.round_eps in
-      let v = Dataflow_model.verify cfg snapped in
       let c = Certify.check cfg snapped in
-      if v = [] && Certify.certified c then (snapped, v, c)
+      if Certify.certified c then (snapped, c)
       else
         let strict = mapped_with 0.0 in
-        (strict, Dataflow_model.verify cfg strict, Certify.check cfg strict)
+        (strict, Certify.check cfg strict)
     in
     if Fault.corrupts_rounding policy.Recovery.fault then begin
       (match obs with
@@ -216,9 +198,9 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         Obs.Ctx.emit o
           (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
       let bad = corrupt_rounding cfg mapped in
-      (bad, Dataflow_model.verify cfg bad, Certify.check cfg bad)
+      (bad, Certify.check cfg bad)
     end
-    else (mapped, verification, certificate)
+    else (mapped, certificate)
   with
   | exception Rounding.Non_finite { what; value } ->
     Error
@@ -226,17 +208,8 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
          (Printf.sprintf
             "non-finite %s %h emitted by the solver; rounding refused" what
             value))
-  | mapped, verification, certificate ->
-    (match obs with
-    | None -> ()
-    | Some o ->
-      Obs.Ctx.emit o
-        (Obs.Trace.Certificate
-           {
-             verdict =
-               (if Certify.certified certificate then "certified"
-                else "refuted");
-           }));
+  | mapped, certificate ->
+    Certify.trace obs certificate;
     let sim_check, sim_failure = sim_check cfg mapped in
     let uncertifiable msg =
       Error
@@ -246,11 +219,8 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
                %d attempt(s) (%a)"
               msg (Recovery.attempts trace) Recovery.pp_trace trace))
     in
-    if Recovery.recovered trace && verification <> [] then
-      uncertifiable
-        (String.concat "; " (List.map Violation.to_string verification))
-    else if Recovery.recovered trace && not (Certify.certified certificate)
-    then uncertifiable (Certify.summary certificate)
+    if Recovery.recovered trace && not (Certify.certified certificate) then
+      uncertifiable (Certify.summary certificate)
     else
       (match if Recovery.recovered trace then sim_failure else None with
       | Some msg -> uncertifiable msg
@@ -260,8 +230,8 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
             mapped;
             continuous;
             objective = continuous.Socp_builder.objective;
-            rounded_objective = rounded_objective_of cfg mapped;
-            verification;
+            rounded_objective = Rounding.objective cfg mapped;
+            verification = Certify.violations certificate;
             certificate;
             sim_check;
             recovery = trace;
@@ -310,18 +280,10 @@ let fallback_lp cfg ~obs trace stats final_status =
         (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error e)
       ()
   | Ok tp ->
+    (* [Two_phase] returns [Ok] only for a certified mapping. *)
     let mapped = tp.Two_phase.mapped in
-    let verification = Dataflow_model.verify cfg mapped in
     let certificate = tp.Two_phase.certificate in
-    let sim_check, hard =
-      if verification <> [] then
-        ( [],
-          Some (String.concat "; " (List.map Violation.to_string verification))
-        )
-      else if not (Certify.certified certificate) then
-        ([], Some (Certify.summary certificate))
-      else sim_check cfg mapped
-    in
+    let sim_check, hard = sim_check cfg mapped in
     (match hard with
     | Some msg ->
       exit_rung "uncertified";
@@ -356,7 +318,7 @@ let fallback_lp cfg ~obs trace stats final_status =
           continuous;
           objective = tp.Two_phase.objective;
           rounded_objective = tp.Two_phase.objective;
-          verification;
+          verification = Certify.violations certificate;
           certificate;
           sim_check;
           recovery = trace;

@@ -4,20 +4,18 @@
     [solve] builds Algorithm 1 for the whole configuration, runs the
     interior-point solver under the {!Robust.Recovery} ladder, applies
     the conservative roundings [β = g·⌈β′/g⌉] and [γ = ι + ⌈δ′⌉], and
-    re-verifies the rounded mapping against the dataflow feasibility
-    test (Constraint (1) via Bellman–Ford), the processor budget
-    capacities and the memory capacities, plus a TDM-simulation
-    cross-check and an exact rational certificate ({!Certify}).  By
-    the monotonicity argument of Section IV the verification must
-    succeed whenever the solver returned an optimal continuous point;
-    it is nevertheless checked and reported.
+    decides constraints (1)–(10) on the rounded mapping with the exact
+    rational certifier ({!Certify}), plus a TDM-simulation
+    cross-check.  By the monotonicity argument of Section IV the
+    certificate must hold whenever the solver returned an optimal
+    continuous point; it is nevertheless checked and reported.
 
     Resilience (docs/robustness.md): when the cone solve stalls, the
     recovery ladder retries with relaxed tolerances, a deeper iteration
     budget and a re-equilibrated problem, and finally restates the
     problem on the exact-simplex buffer LP of {!Two_phase}.  A
-    recovered (degraded) solve must pass certification — Bellman–Ford
-    and the simulation hard check — or [solve] returns an error rather
+    recovered (degraded) solve must pass certification — the exact
+    certificate and the simulation hard check — or [solve] returns an error rather
     than silently handing back an unverified mapping. *)
 
 type stats = {
@@ -41,8 +39,8 @@ type result = {
   rounded_objective : float;
       (** Objective (5) evaluated on the rounded β, γ *)
   verification : Violation.t list;
-      (** violations found when re-checking the rounded mapping with
-          the float dataflow test; empty in normal operation *)
+      (** [certificate] as structured violations
+          ({!Certify.violations}); empty in normal operation *)
   certificate : Certify.t;
       (** exact rational certificate of the rounded mapping:
           [Certified] with the start-time witness, or [Refuted] with

@@ -85,7 +85,9 @@ let build cfg (mapped : Config.mapped) =
     processors;
     memories;
     graphs;
-    violations = List.map Violation.to_string (Dataflow_model.verify cfg mapped);
+    violations =
+      List.map Violation.to_string
+        (Certify.violations (Certify.check cfg mapped));
   }
 
 let pp cfg ppf t =

@@ -31,7 +31,8 @@ type t = {
   processors : processor_load list;
   memories : memory_load list;
   graphs : graph_report list;
-  violations : string list;  (** from {!Dataflow_model.verify} *)
+  violations : string list;
+      (** the exact certificate's violations ({!Certify.violations}) *)
 }
 
 (** [build cfg mapped] assembles the report. *)

@@ -27,3 +27,21 @@ let round_budget ~granularity beta' =
 
 let round_capacity ~initial_tokens delta' =
   round_capacity_eps ~eps:round_eps ~initial_tokens delta'
+
+module Config = Taskgraph.Config
+
+(* Weighted budgets plus weighted containers beyond the initially
+   filled ones, folded tasks first: every flow reports its rounded
+   objective through this one expression, so they compare bit-exactly. *)
+let objective cfg (mapped : Config.mapped) =
+  List.fold_left
+    (fun acc w -> acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
+    0.0 (Config.all_tasks cfg)
+  +. List.fold_left
+       (fun acc b ->
+         acc
+         +. Config.buffer_weight cfg b
+            *. float_of_int
+                 (Config.container_size cfg b
+                 * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
+       0.0 (Config.all_buffers cfg)

@@ -27,3 +27,9 @@ val round_budget : granularity:float -> float -> float
 (** [round_capacity ~initial_tokens delta'] is [max 1 (ι + ⌈δ′⌉)] with
     the same snap. *)
 val round_capacity : initial_tokens:int -> float -> int
+
+(** [objective cfg mapped] is Objective (5) on a rounded mapping:
+    weighted budgets plus weighted containers beyond the initially
+    filled ones.  The joint, two-phase and SLP flows all report their
+    rounded objective through it. *)
+val objective : Taskgraph.Config.t -> Taskgraph.Config.mapped -> float

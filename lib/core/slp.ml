@@ -182,19 +182,6 @@ let solve ?(max_iterations = 25) ?(tolerance = 1e-6) ?(initial = 1.0) cfg =
               (space b));
       }
     in
-    let objective =
-      List.fold_left
-        (fun acc w ->
-          acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
-        0.0 (Config.all_tasks cfg)
-      +. List.fold_left
-           (fun acc b ->
-             acc
-             +. Config.buffer_weight cfg b
-                *. float_of_int
-                     (Config.container_size cfg b
-                     * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
-           0.0 (Config.all_buffers cfg)
-    in
-    let verified = Dataflow_model.verify cfg mapped = [] in
+    let objective = Rounding.objective cfg mapped in
+    let verified = Certify.certified (Certify.check cfg mapped) in
     Ok { mapped; objective; iterations; converged; verified }

@@ -21,22 +21,6 @@ let pp_error ppf = function
 
 let ( let* ) = Result.bind
 
-(* Objective (5) evaluated on a rounded mapping: weighted budgets plus
-   weighted container counts beyond the initially-filled ones (matching
-   what the joint flow reports). *)
-let objective_of cfg (mapped : Config.mapped) =
-  List.fold_left
-    (fun acc w -> acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
-    0.0 (Config.all_tasks cfg)
-  +. List.fold_left
-       (fun acc b ->
-         acc
-         +. Config.buffer_weight cfg b
-            *. float_of_int
-                 (Config.container_size cfg b
-                 * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
-       0.0 (Config.all_buffers cfg)
-
 (* ------------------------------------------------------------------ *)
 (* Phase 1 budget policies                                             *)
 (* ------------------------------------------------------------------ *)
@@ -199,32 +183,28 @@ let buffer_lp cfg ~budget =
           ~initial_tokens:(Config.initial_tokens cfg b)
           (value (dv b)))
 
-let finish ?obs cfg ~budget ~capacity ~rounds =
+(* The one certification of a two-phase result: a refuted mapping is a
+   failure, never an [Ok].  The capacity closure of [buffer_lp] rounds
+   lazily, so [Rounding.Non_finite] can surface from inside the check. *)
+let finish ?obs ?(flow = "two-phase") cfg ~budget ~capacity ~rounds =
   let mapped = { Config.budget; Config.capacity } in
-  match Dataflow_model.verify cfg mapped with
+  match Certify.check cfg mapped with
   | exception Rounding.Non_finite { what; value } ->
     Error
       (Solver_failure
          (Printf.sprintf
             "non-finite %s %h emitted by the solver; rounding refused" what
             value))
-  | [] ->
-    let certificate = Certify.check cfg mapped in
-    (match obs with
-    | None -> ()
-    | Some o ->
-      Obs.Ctx.emit o
-        (Obs.Trace.Certificate
-           {
-             verdict =
-               (if Certify.certified certificate then "certified"
-                else "refuted");
-           }));
-    Ok { mapped; objective = objective_of cfg mapped; rounds; certificate }
-  | problems ->
-    Error (Solver_failure ("two-phase result failed verification: "
-                           ^ String.concat "; "
-                               (List.map Violation.to_string problems)))
+  | certificate ->
+    Certify.trace obs certificate;
+    if Certify.certified certificate then
+      let objective = Rounding.objective cfg mapped in
+      Ok { mapped; objective; rounds; certificate }
+    else
+      Error
+        (Solver_failure
+           (Printf.sprintf "%s result failed verification: %s" flow
+              (Certify.summary certificate)))
 
 let budget_first ?(policy = Min_budget) ?obs cfg =
   let budget = budgets_of_policy cfg policy in
@@ -312,7 +292,7 @@ let alternating ?(max_rounds = 10) ?params cfg =
         | Error e -> if rounds = 0 then Error e else Ok best
         | Ok budget' ->
           let mapped = { Config.budget = budget'; Config.capacity = capacity } in
-          let obj = objective_of cfg mapped in
+          let obj = Rounding.objective cfg mapped in
           let improved =
             match best with
             | None -> true
@@ -329,15 +309,8 @@ let alternating ?(max_rounds = 10) ?params cfg =
   let* best = loop budget0 None 0 in
   match best with
   | None -> Error (Infeasible "alternating flow found no feasible point")
-  | Some (mapped, objective, rounds) -> begin
-    match Dataflow_model.verify cfg mapped with
-    | [] ->
-      Ok { mapped; objective; rounds; certificate = Certify.check cfg mapped }
-    | problems ->
-      Error
-        (Solver_failure
-           ("alternating result failed verification: "
-           ^ String.concat "; " (List.map Violation.to_string problems)))
-  end
+  | Some (mapped, _, rounds) ->
+    finish ~flow:"alternating" cfg ~budget:mapped.Config.budget
+      ~capacity:mapped.Config.capacity ~rounds
 
 let buffer_sizing_lp = buffer_lp

@@ -1,5 +1,5 @@
-(** Structured constraint violations, shared by the float checker
-    ({!Dataflow_model.verify}) and the exact certifier ({!Certify}).
+(** Structured constraint violations, as decided by the exact
+    certifier ({!Certify.violations}).
 
     Each variant names the violated constraint, the system objects
     involved and the two sides of the inequality, so callers can

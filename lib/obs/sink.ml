@@ -1,7 +1,7 @@
 (* Pluggable trace consumers.
 
-   The file sink uses the same line framing as the sweep journal
-   (lib/durable/journal.ml): every line is
+   The file sink uses the CRC line framing it shares with the sweep
+   journal ([Crc.render_line]): every line is
 
      <crc32-hex> <body>
 
@@ -15,17 +15,6 @@
 
 let magic = "budgetbuf-trace"
 let version = "1"
-
-let render_line body = Crc.hex (Crc.string body) ^ " " ^ body ^ "\n"
-
-(* [line] has no trailing newline.  [None] on any damage: too short,
-   missing separator, CRC mismatch. *)
-let body_of_line line =
-  if String.length line < 10 || line.[8] <> ' ' then None
-  else
-    let crc = String.sub line 0 8 in
-    let body = String.sub line 9 (String.length line - 9) in
-    if String.equal crc (Crc.hex (Crc.string body)) then Some body else None
 
 type t =
   | Null
@@ -45,7 +34,7 @@ let ring ~capacity =
 
 let file path =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
-  output_string oc (render_line (magic ^ " " ^ version));
+  output_string oc (Crc.render_line (magic ^ " " ^ version));
   File { path; oc; m = Mutex.create (); closed = false }
 
 let emit t ev =
@@ -60,7 +49,7 @@ let emit t ev =
     Mutex.unlock r.m
   | File f ->
     Mutex.lock f.m;
-    if not f.closed then output_string f.oc (render_line (Trace.to_json ev));
+    if not f.closed then output_string f.oc (Crc.render_line (Trace.to_json ev));
     Mutex.unlock f.m
 
 let events = function
@@ -103,14 +92,14 @@ let read_file p =
     match scan_lines content with
     | [] -> Error (p ^ ": empty or truncated trace header")
     | first :: rest -> begin
-      match body_of_line first with
+      match Crc.body_of_line first with
       | Some body when String.equal body (magic ^ " " ^ version) ->
         (* Stop at the first damaged line: after a torn write nothing
            downstream is trustworthy. *)
         let rec take acc = function
           | [] -> List.rev acc
           | line :: rest -> begin
-            match Option.bind (body_of_line line) Trace.of_json_line with
+            match Option.bind (Crc.body_of_line line) Trace.of_json_line with
             | Some ev -> take (ev :: acc) rest
             | None -> List.rev acc
           end

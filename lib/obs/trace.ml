@@ -7,9 +7,9 @@
    Floats render with "%.17g", which [float_of_string] parses back
    bit-exactly (17 significant digits pin a binary64); the non-finite
    values JSON cannot spell are quoted ("nan", "inf", "-inf") and the
-   decoder accepts both spellings.  The decoder is a tiny parser for
-   exactly this shape — flat objects of strings, numbers and booleans —
-   not a general JSON library; anything else is rejected as damage. *)
+   decoder accepts both spellings — the [Quote] policy of the shared
+   flat-object codec [Json].  Anything outside that grammar, duplicate
+   keys included, is rejected as damage. *)
 
 type event =
   | Solve_start of { rows : int; cols : int }
@@ -94,113 +94,96 @@ let event_name = function
 
 (* ---- encoding ---------------------------------------------------- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_float b f =
-  if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else
-    add_json_string b
-      (if Float.is_nan f then "nan" else if f > 0.0 then "inf" else "-inf")
-
-type field = S of string | N of float | I of int | B of bool
+let str s = Json.String s
+let num f = Json.Number f
+let int i = Json.Number (float_of_int i)
+let bool v = Json.Bool v
 
 let fields_of_event = function
-  | Solve_start { rows; cols } -> [ ("rows", I rows); ("cols", I cols) ]
+  | Solve_start { rows; cols } -> [ ("rows", int rows); ("cols", int cols) ]
   | Solve_end { status; iterations; time_s } ->
-    [ ("status", S status); ("iterations", I iterations); ("time_s", N time_s) ]
+    [
+      ("status", str status);
+      ("iterations", int iterations);
+      ("time_s", num time_s);
+    ]
   | Socp_iter { iter; pres; dres; gap; step } ->
     [
-      ("iter", I iter);
-      ("pres", N pres);
-      ("dres", N dres);
-      ("gap", N gap);
-      ("step", N step);
+      ("iter", int iter);
+      ("pres", num pres);
+      ("dres", num dres);
+      ("gap", num gap);
+      ("step", num step);
     ]
   | Presolve { range_before; range_after } ->
-    [ ("range_before", N range_before); ("range_after", N range_after) ]
+    [ ("range_before", num range_before); ("range_after", num range_after) ]
   | Rung_enter { attempt; stage } ->
-    [ ("attempt", I attempt); ("stage", S stage) ]
+    [ ("attempt", int attempt); ("stage", str stage) ]
   | Rung_exit { attempt; stage; status; fault } ->
-    [ ("attempt", I attempt); ("stage", S stage); ("status", S status) ]
-    @ (match fault with None -> [] | Some f -> [ ("fault", S f) ])
+    [
+      ("attempt", int attempt); ("stage", str stage); ("status", str status);
+    ]
+    @ (match fault with None -> [] | Some f -> [ ("fault", str f) ])
   | Fault_injected { kind; attempt } ->
-    [ ("kind", S kind); ("attempt", I attempt) ]
+    [ ("kind", str kind); ("attempt", int attempt) ]
   | Kkt_factor { backend; phase; n; nnz } ->
-    [ ("backend", S backend); ("phase", S phase); ("n", I n); ("nnz", I nnz) ]
+    [
+      ("backend", str backend);
+      ("phase", str phase);
+      ("n", int n);
+      ("nnz", int nnz);
+    ]
   | Warm_start { accepted; reason } ->
-    [ ("accepted", B accepted); ("reason", S reason) ]
-  | Certificate { verdict } -> [ ("verdict", S verdict) ]
-  | Restore { index; hit } -> [ ("index", I index); ("hit", B hit) ]
-  | Task_dispatch { index } -> [ ("index", I index) ]
-  | Task_join { index; ok } -> [ ("index", I index); ("ok", B ok) ]
+    [ ("accepted", bool accepted); ("reason", str reason) ]
+  | Certificate { verdict } -> [ ("verdict", str verdict) ]
+  | Restore { index; hit } -> [ ("index", int index); ("hit", bool hit) ]
+  | Task_dispatch { index } -> [ ("index", int index) ]
+  | Task_join { index; ok } -> [ ("index", int index); ("ok", bool ok) ]
   | Candidate { index; verdict } ->
-    [ ("index", I index); ("verdict", S verdict) ]
-  | Request_start { op; id } -> [ ("op", S op); ("id", S id) ]
+    [ ("index", int index); ("verdict", str verdict) ]
+  | Request_start { op; id } -> [ ("op", str op); ("id", str id) ]
   | Request_done { op; id; status; queue_s; total_s } ->
     [
-      ("op", S op);
-      ("id", S id);
-      ("status", S status);
-      ("queue_s", N queue_s);
-      ("total_s", N total_s);
+      ("op", str op);
+      ("id", str id);
+      ("status", str status);
+      ("queue_s", num queue_s);
+      ("total_s", num total_s);
     ]
-  | Cache_hit { key } -> [ ("key", S key) ]
-  | Cache_miss { key } -> [ ("key", S key) ]
-  | Shed { queue } -> [ ("queue", I queue) ]
+  | Cache_hit { key } -> [ ("key", str key) ]
+  | Cache_miss { key } -> [ ("key", str key) ]
+  | Shed { queue } -> [ ("queue", int queue) ]
   | Chaos_injected { kind; site; ordinal } ->
-    [ ("kind", S kind); ("site", S site); ("ordinal", I ordinal) ]
-  | Worker_spawn { pid; slot } -> [ ("pid", I pid); ("slot", I slot) ]
+    [ ("kind", str kind); ("site", str site); ("ordinal", int ordinal) ]
+  | Worker_spawn { pid; slot } -> [ ("pid", int pid); ("slot", int slot) ]
   | Worker_exit { pid; reason; solves } ->
-    [ ("pid", I pid); ("reason", S reason); ("solves", I solves) ]
+    [ ("pid", int pid); ("reason", str reason); ("solves", int solves) ]
   | Worker_reaped { pid; after_s } ->
-    [ ("pid", I pid); ("after_s", N after_s) ]
+    [ ("pid", int pid); ("after_s", num after_s) ]
   | Quarantined { key; crashes } ->
-    [ ("key", S key); ("crashes", I crashes) ]
+    [ ("key", str key); ("crashes", int crashes) ]
   | Tighten_probe { buffer; capacity; feasible } ->
-    [ ("buffer", S buffer); ("capacity", I capacity); ("feasible", B feasible) ]
+    [
+      ("buffer", str buffer);
+      ("capacity", int capacity);
+      ("feasible", bool feasible);
+    ]
   | Tighten_accept { buffer; capacity; saved } ->
-    [ ("buffer", S buffer); ("capacity", I capacity); ("saved", I saved) ]
+    [
+      ("buffer", str buffer); ("capacity", int capacity); ("saved", int saved);
+    ]
   | Tighten_reject { buffer; capacity } ->
-    [ ("buffer", S buffer); ("capacity", I capacity) ]
-  | Span_open { name } -> [ ("name", S name) ]
+    [ ("buffer", str buffer); ("capacity", int capacity) ]
+  | Span_open { name } -> [ ("name", str name) ]
   | Span_close { name; elapsed_s } ->
-    [ ("name", S name); ("elapsed_s", N elapsed_s) ]
+    [ ("name", str name); ("elapsed_s", num elapsed_s) ]
 
 let to_json { seq; time; event } =
-  let b = Buffer.create 96 in
-  Buffer.add_string b "{\"seq\":";
-  Buffer.add_string b (string_of_int seq);
-  Buffer.add_string b ",\"t\":";
-  add_float b time;
-  Buffer.add_string b ",\"ev\":";
-  add_json_string b (event_name event);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      add_json_string b k;
-      Buffer.add_char b ':';
-      match v with
-      | S s -> add_json_string b s
-      | N f -> add_float b f
-      | I i -> Buffer.add_string b (string_of_int i)
-      | B v -> Buffer.add_string b (if v then "true" else "false"))
-    (fields_of_event event);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.render ~non_finite:Json.Quote
+    (("seq", int seq)
+    :: ("t", num time)
+    :: ("ev", str (event_name event))
+    :: fields_of_event event)
 
 (* One-line human rendering for `budgetbuf trace cat`.  The timestamp
    is deliberately omitted — it is the one nondeterministic column, and
@@ -216,149 +199,27 @@ let summary { seq; event; _ } =
       Buffer.add_string b k;
       Buffer.add_char b '=';
       match v with
-      | S s -> Buffer.add_string b s
-      | N f -> add_float b f
-      | I i -> Buffer.add_string b (string_of_int i)
-      | B v -> Buffer.add_string b (if v then "true" else "false"))
+      | Json.String s -> Buffer.add_string b s
+      | v -> Json.add_value Json.Quote b v)
     (fields_of_event event);
   Buffer.contents b
 
 (* ---- decoding ---------------------------------------------------- *)
 
-type json = Jstr of string | Jnum of float | Jbool of bool
-
 exception Bad
-
-let parse_object line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= len then raise Bad else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < len && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 >= len then raise Bad;
-          let hex = String.sub line (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c when c < 0x80 -> c
-            | Some _ | None -> raise Bad
-          in
-          pos := !pos + 4;
-          Buffer.add_char b (Char.chr code)
-        | _ -> raise Bad);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-      if !pos + 4 <= len && String.sub line !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise Bad
-    | 'f' ->
-      if !pos + 5 <= len && String.sub line !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise Bad
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      while
-        !pos < len
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        advance ()
-      done;
-      (match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some f -> Jnum f
-      | None -> raise Bad)
-    | _ -> raise Bad
-  in
-  skip_ws ();
-  expect '{';
-  let rec pairs acc =
-    skip_ws ();
-    match peek () with
-    | '}' ->
-      advance ();
-      List.rev acc
-    | _ ->
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      let v = parse_value () in
-      skip_ws ();
-      (match peek () with
-      | ',' ->
-        advance ();
-        pairs ((k, v) :: acc)
-      | '}' ->
-        advance ();
-        List.rev ((k, v) :: acc)
-      | _ -> raise Bad)
-  in
-  let obj = pairs [] in
-  skip_ws ();
-  if !pos <> len then raise Bad;
-  obj
 
 let of_json_line line =
   match
-    let obj = parse_object line in
-    let str k =
-      match List.assoc_opt k obj with Some (Jstr s) -> s | _ -> raise Bad
+    let obj =
+      match Json.parse ~non_finite:Json.Quote line with
+      | Ok obj -> obj
+      | Error _ -> raise Bad
     in
-    let num k =
-      match List.assoc_opt k obj with
-      | Some (Jnum f) -> f
-      | Some (Jstr "nan") -> Float.nan
-      | Some (Jstr "inf") -> Float.infinity
-      | Some (Jstr "-inf") -> Float.neg_infinity
-      | _ -> raise Bad
-    in
-    let int k =
-      let f = num k in
-      let i = int_of_float f in
-      if float_of_int i = f then i else raise Bad
-    in
-    let boolean k =
-      match List.assoc_opt k obj with Some (Jbool v) -> v | _ -> raise Bad
-    in
+    let field = function Some v -> v | None -> raise Bad in
+    let str k = field (Json.str obj k)
+    and num k = field (Json.number ~non_finite:Json.Quote obj k)
+    and int k = field (Json.int obj k)
+    and boolean k = field (Json.bool obj k) in
     let event =
       match str "ev" with
       | "solve_start" -> Solve_start { rows = int "rows"; cols = int "cols" }
@@ -391,7 +252,7 @@ let of_json_line line =
             status = str "status";
             fault =
               (match List.assoc_opt "fault" obj with
-              | Some (Jstr s) -> Some s
+              | Some (Json.String s) -> Some s
               | None -> None
               | Some _ -> raise Bad);
           }

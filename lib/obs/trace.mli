@@ -112,13 +112,15 @@ type t = { seq : int; time : float; event : event }
 (** [event_name e] is the stable snake_case tag (the ["ev"] field). *)
 val event_name : event -> string
 
-(** [to_json t] renders one flat JSON object, no trailing newline.
-    Finite floats use ["%.17g"] (bit-exact round trip); non-finite
-    values are quoted (["nan"], ["inf"], ["-inf"]). *)
+(** [to_json t] renders one flat JSON object ({!Json} under its
+    [Quote] policy), no trailing newline.  Finite floats use ["%.17g"]
+    (bit-exact round trip); non-finite values are quoted (["nan"],
+    ["inf"], ["-inf"]). *)
 val to_json : t -> string
 
 (** [of_json_line line] decodes what {!to_json} wrote; [None] on any
-    damage (the caller treats the line as torn). *)
+    damage, duplicate keys included (the caller treats the line as
+    torn). *)
 val of_json_line : string -> t option
 
 (** [summary t] is the one-line human rendering used by

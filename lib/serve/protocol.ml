@@ -11,6 +11,11 @@
    counters in stats). *)
 let version = 2
 
+module Json = Obs.Json
+
+let parse_object line =
+  Result.map_error (fun msg -> "malformed request: " ^ msg) (Json.parse line)
+
 type request =
   | Admit of {
       id : string;
@@ -118,34 +123,34 @@ let status_of_response = function
 
 let request_to_line = function
   | Admit { id; config; deadline_s; fault; retry } ->
-    Wire.render
-      ([ ("op", Wire.String "admit"); ("id", Wire.String id) ]
+    Json.render
+      ([ ("op", Json.String "admit"); ("id", Json.String id) ]
       @ (match deadline_s with
-        | Some s -> [ ("deadline_s", Wire.Number s) ]
+        | Some s -> [ ("deadline_s", Json.Number s) ]
         | None -> [])
       @ (match fault with
-        | Some f -> [ ("fault", Wire.String f) ]
+        | Some f -> [ ("fault", Json.String f) ]
         | None -> [])
-      @ (if retry then [ ("retry", Wire.Bool true) ] else [])
-      @ [ ("config", Wire.String config) ])
+      @ (if retry then [ ("retry", Json.Bool true) ] else [])
+      @ [ ("config", Json.String config) ])
   | Release { id } ->
-    Wire.render [ ("op", Wire.String "release"); ("id", Wire.String id) ]
+    Json.render [ ("op", Json.String "release"); ("id", Json.String id) ]
   | Ping ->
-    Wire.render
-      [ ("op", Wire.String "ping"); ("v", Wire.Number (float_of_int version)) ]
-  | Stats -> Wire.render [ ("op", Wire.String "stats") ]
-  | Shutdown -> Wire.render [ ("op", Wire.String "shutdown") ]
+    Json.render
+      [ ("op", Json.String "ping"); ("v", Json.Number (float_of_int version)) ]
+  | Stats -> Json.render [ ("op", Json.String "stats") ]
+  | Shutdown -> Json.render [ ("op", Json.String "shutdown") ]
 
 let request_of_line line =
-  match Wire.parse line with
+  match parse_object line with
   | Error _ as e -> e
   | Ok obj -> (
     let required k =
-      match Wire.str obj k with
+      match Json.str obj k with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing or non-string field %S" k)
     in
-    match Wire.str obj "op" with
+    match Json.str obj "op" with
     | None -> Error "missing or non-string field \"op\""
     | Some "admit" -> (
       match (required "id", required "config") with
@@ -162,9 +167,9 @@ let request_of_line line =
               | Some x -> Ok (Some x)
               | None -> Error (Printf.sprintf "ill-typed field %S" k))
           in
-          let number = function Wire.Number s -> Some s | _ -> None in
-          let string = function Wire.String s -> Some s | _ -> None in
-          let boolean = function Wire.Bool v -> Some v | _ -> None in
+          let number = function Json.Number s -> Some s | _ -> None in
+          let string = function Json.String s -> Some s | _ -> None in
+          let boolean = function Json.Bool v -> Some v | _ -> None in
           match (opt "deadline_s" number, opt "fault" string, opt "retry" boolean)
           with
           | Ok (Some s), _, _ when s <= 0.0 -> Error "non-positive deadline_s"
@@ -195,7 +200,7 @@ let request_of_line line =
       match List.assoc_opt "v" obj with
       | None -> Ok Ping
       | Some v -> (
-        match (match v with Wire.Number _ -> Wire.int obj "v" | _ -> None)
+        match (match v with Json.Number _ -> Json.int obj "v" | _ -> None)
         with
         | Some v when v = version -> Ok Ping
         | Some v ->
@@ -212,69 +217,69 @@ let request_of_line line =
 
 let stats_fields s =
   [
-    ("admitted", Wire.Number (float_of_int s.admitted));
-    ("rejected", Wire.Number (float_of_int s.rejected));
-    ("infeasible", Wire.Number (float_of_int s.infeasible));
-    ("timed_out", Wire.Number (float_of_int s.timed_out));
-    ("failed", Wire.Number (float_of_int s.failed));
-    ("poisoned", Wire.Number (float_of_int s.poisoned));
-    ("shed", Wire.Number (float_of_int s.shed));
-    ("refused", Wire.Number (float_of_int s.refused));
-    ("cache_hits", Wire.Number (float_of_int s.cache_hits));
-    ("cache_misses", Wire.Number (float_of_int s.cache_misses));
-    ("released", Wire.Number (float_of_int s.released));
-    ("pings", Wire.Number (float_of_int s.pings));
-    ("live", Wire.Number (float_of_int s.live));
-    ("queue", Wire.Number (float_of_int s.queue));
-    ("worker_crashes", Wire.Number (float_of_int s.worker_crashes));
+    ("admitted", Json.Number (float_of_int s.admitted));
+    ("rejected", Json.Number (float_of_int s.rejected));
+    ("infeasible", Json.Number (float_of_int s.infeasible));
+    ("timed_out", Json.Number (float_of_int s.timed_out));
+    ("failed", Json.Number (float_of_int s.failed));
+    ("poisoned", Json.Number (float_of_int s.poisoned));
+    ("shed", Json.Number (float_of_int s.shed));
+    ("refused", Json.Number (float_of_int s.refused));
+    ("cache_hits", Json.Number (float_of_int s.cache_hits));
+    ("cache_misses", Json.Number (float_of_int s.cache_misses));
+    ("released", Json.Number (float_of_int s.released));
+    ("pings", Json.Number (float_of_int s.pings));
+    ("live", Json.Number (float_of_int s.live));
+    ("queue", Json.Number (float_of_int s.queue));
+    ("worker_crashes", Json.Number (float_of_int s.worker_crashes));
   ]
 
 let response_to_line r =
-  let status = ("status", Wire.String (status_of_response r)) in
+  let status = ("status", Json.String (status_of_response r)) in
   match r with
   | Admitted { id; cache; mapping; certificate; objective; rounded_objective;
                attempts } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("id", Wire.String id);
-        ("cache", Wire.String (match cache with `Hit -> "hit" | `Miss -> "miss"));
-        ("mapping", Wire.String mapping);
-        ("certificate", Wire.String certificate);
-        ("objective", Wire.Number objective);
-        ("rounded_objective", Wire.Number rounded_objective);
-        ("attempts", Wire.Number (float_of_int attempts));
+        ("id", Json.String id);
+        ("cache", Json.String (match cache with `Hit -> "hit" | `Miss -> "miss"));
+        ("mapping", Json.String mapping);
+        ("certificate", Json.String certificate);
+        ("objective", Json.Number objective);
+        ("rounded_objective", Json.Number rounded_objective);
+        ("attempts", Json.Number (float_of_int attempts));
       ]
   | Rejected { id; reason } | Unsat { id; reason } | Late { id; reason }
   | Failed { id; reason } | Poisoned { id; reason } ->
-    Wire.render
-      [ status; ("id", Wire.String id); ("reason", Wire.String reason) ]
+    Json.render
+      [ status; ("id", Json.String id); ("reason", Json.String reason) ]
   | Overloaded { id; retry_after_s } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("id", Wire.String id);
-        ("retry_after_s", Wire.Number retry_after_s);
+        ("id", Json.String id);
+        ("retry_after_s", Json.Number retry_after_s);
       ]
   | Released { id; found } ->
-    Wire.render [ status; ("id", Wire.String id); ("found", Wire.Bool found) ]
+    Json.render [ status; ("id", Json.String id); ("found", Json.Bool found) ]
   | Ready { state } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("state", Wire.String (readiness_name state));
-        ("v", Wire.Number (float_of_int version));
+        ("state", Json.String (readiness_name state));
+        ("v", Json.Number (float_of_int version));
       ]
-  | Stats_reply s -> Wire.render (status :: stats_fields s)
-  | Refused { reason } -> Wire.render [ status; ("reason", Wire.String reason) ]
-  | Bye -> Wire.render [ status ]
+  | Stats_reply s -> Json.render (status :: stats_fields s)
+  | Refused { reason } -> Json.render [ status; ("reason", Json.String reason) ]
+  | Bye -> Json.render [ status ]
 
 let response_of_line line =
-  match Wire.parse line with
+  match parse_object line with
   | Error _ as e -> e
   | Ok obj -> (
     let required k =
-      match Wire.str obj k with
+      match Json.str obj k with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing or non-string field %S" k)
     in
@@ -283,11 +288,11 @@ let response_of_line line =
       | Ok id, Ok reason -> Ok (mk id reason)
       | (Error _ as e), _ | _, (Error _ as e) -> e
     in
-    match Wire.str obj "status" with
+    match Json.str obj "status" with
     | None -> Error "missing or non-string field \"status\""
     | Some "admitted" -> (
       let num k =
-        match Wire.number obj k with
+        match Json.number obj k with
         | Some f -> Ok f
         | None -> Error (Printf.sprintf "missing or non-number field %S" k)
       in
@@ -298,7 +303,7 @@ let response_of_line line =
           required "certificate",
           num "objective",
           num "rounded_objective",
-          Wire.int obj "attempts" )
+          Json.int obj "attempts" )
       with
       | ( Ok id,
           Ok cache_tag,
@@ -333,12 +338,12 @@ let response_of_line line =
     | Some "poisoned" ->
       with_id_reason (fun id reason -> Poisoned { id; reason })
     | Some "overloaded" -> (
-      match (required "id", Wire.number obj "retry_after_s") with
+      match (required "id", Json.number obj "retry_after_s") with
       | Ok id, Some retry_after_s -> Ok (Overloaded { id; retry_after_s })
       | (Error _ as e), _ -> e
       | _, None -> Error "missing or non-number field \"retry_after_s\"")
     | Some "released" -> (
-      match (required "id", Wire.bool obj "found") with
+      match (required "id", Json.bool obj "found") with
       | Ok id, Some found -> Ok (Released { id; found })
       | (Error _ as e), _ -> e
       | _, None -> Error "missing or non-boolean field \"found\"")
@@ -350,7 +355,7 @@ let response_of_line line =
           match List.assoc_opt "v" obj with
           | None -> Ok (Ready { state })
           | Some v -> (
-            match (match v with Wire.Number _ -> Wire.int obj "v" | _ -> None)
+            match (match v with Json.Number _ -> Json.int obj "v" | _ -> None)
             with
             | Some v when v = version -> Ok (Ready { state })
             | Some v ->
@@ -363,7 +368,7 @@ let response_of_line line =
       | Error _ as e -> e)
     | Some "stats" ->
       let count k =
-        match Wire.int obj k with
+        match Json.int obj k with
         | Some n when n >= 0 -> Ok n
         | Some _ | None ->
           Error (Printf.sprintf "missing or non-count field %S" k)

@@ -1,5 +1,5 @@
-(** The admission protocol: typed requests and replies and their
-    {!Wire} line codecs.
+(** The admission protocol: typed requests and replies and their line
+    codecs over {!Obs.Json}, framed by {!Wire}.
 
     One request line in, one reply line out, in order, per connection.
     The full grammar with examples lives in docs/serving.md; the
@@ -126,6 +126,10 @@ val status_of_response : response -> string
 
 (** Line codecs: no trailing newline; [Error] is a one-line reason
     suitable for a [Refused] reply. *)
+
+(** [parse_object line] is {!Obs.Json.parse} with the wire's
+    ["malformed request: "] error prefix; the worker pipe shares it. *)
+val parse_object : string -> (Obs.Json.obj, string) Stdlib.result
 
 val request_to_line : request -> string
 val request_of_line : string -> (request, string) Stdlib.result

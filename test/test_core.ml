@@ -16,6 +16,9 @@ let check_float eps = Alcotest.(check (float eps))
 (* Violations as their report strings, for (list string) checks. *)
 let vnotes = List.map Budgetbuf.Violation.to_string
 
+(* The exact certificate's violations of a mapping. *)
+let violations cfg mapped = Budgetbuf.Certify.(violations (check cfg mapped))
+
 (* Closed form for the paper's T1 (derived in DESIGN.md §5): the
    critical cycle gives 2(40 − β + 40/β) ≤ 10·d, clamped below by the
    self-loop bound β ≥ ̺χ/µ = 4. *)
@@ -342,7 +345,7 @@ let test_budget_first_fair_share_works_unbounded () =
   | Ok r ->
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped))
+      (vnotes (violations cfg r.Two_phase.mapped))
 
 let test_budget_first_min_budget_false_negative () =
   (* With capacity capped at 6, the joint flow succeeds but the
@@ -396,7 +399,7 @@ let test_buffer_first_uniform_double_buffering () =
       (r.Two_phase.mapped.Config.capacity (Config.find_buffer cfg "bab"));
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped))
+      (vnotes (violations cfg r.Two_phase.mapped))
 
 let test_joint_no_worse_than_two_phase () =
   (* On the weighted objective the joint optimum is never worse than
@@ -422,7 +425,7 @@ let test_alternating_converges () =
     Alcotest.(check bool) "ran at least one round" true (r.Two_phase.rounds >= 2);
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped));
+      (vnotes (violations cfg r.Two_phase.mapped));
     let joint = solve_exn cfg in
     Alcotest.(check bool) "joint ≤ alternating" true
       (joint.Mapping.rounded_objective <= r.Two_phase.objective +. 1e-6)
@@ -696,7 +699,7 @@ let test_verify_reports_specific_violations () =
   let mapped =
     { Config.budget = (fun _ -> 10.0); Config.capacity = (fun _ -> 7) }
   in
-  let problems = vnotes (Dataflow_model.verify cfg mapped) in
+  let problems = vnotes (violations cfg mapped) in
   let contains hay needle =
     let ln = String.length needle and lh = String.length hay in
     let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
@@ -810,7 +813,7 @@ let test_slp_mapping_verified_when_claimed () =
           Alcotest.(check (list string))
             (Printf.sprintf "cap %d verifies" cap)
             []
-            (vnotes (Dataflow_model.verify cfg o.Slp.mapped)))
+            (vnotes (violations cfg o.Slp.mapped)))
     [ 2; 5; 8 ]
 
 let test_slp_never_beats_socp_continuous () =

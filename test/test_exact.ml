@@ -207,8 +207,8 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Certify = Budgetbuf.Certify
 
-(* Property (a): every mapping the solver accepts (Ok verdict, empty
-   float verification) carries an exact certificate.  200 random
+(* Property (a): every mapping the solver accepts (Ok verdict) carries
+   an exact certificate.  200 random
    instances spanning single chains and processor-coupled multi-job
    sets; infeasible draws prove nothing and pass vacuously. *)
 let test_certify_accepts_qcheck () =
@@ -228,9 +228,7 @@ let test_certify_accepts_qcheck () =
       in
       match Mapping.solve cfg with
       | Error _ -> true
-      | Ok r ->
-        r.Mapping.verification <> []
-        || Certify.certified r.Mapping.certificate)
+      | Ok r -> Certify.certified r.Mapping.certificate)
 
 (* Property (b), on a pinned corpus so the verdicts are reproducible:
    lowering every budget by one granule, or every capacity by one
@@ -282,6 +280,84 @@ let test_certify_mutations () =
           (Certify.certified (Certify.check cfg capacities_down)))
     (mutation_corpus ())
 
+(* ------------------------------------------------------------------ *)
+(* The single checker: every verdict is the exact certificate's        *)
+(* ------------------------------------------------------------------ *)
+
+module Violation = Budgetbuf.Violation
+module Two_phase = Budgetbuf.Two_phase
+module Slp = Budgetbuf.Slp
+
+let contains hay needle =
+  let ln = String.length needle and lh = String.length hay in
+  let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
+  at 0
+
+(* One budget too small for µ, a capacity over both its bound and the
+   memory: the certificate lists all three, in check order. *)
+let test_certify_lists_every_violation () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let bab = Config.find_buffer cfg "bab" in
+  Config.set_max_capacity cfg bab (Some 5);
+  let mapped =
+    { Config.budget = (fun _ -> 1.0); Config.capacity = (fun _ -> 2000) }
+  in
+  let cert = Certify.check cfg mapped in
+  Alcotest.(check (list string))
+    "throughput, memory and buffer bound"
+    [ "throughput"; "mem-capacity"; "buffer-bound" ]
+    (List.map Violation.constraint_id (Certify.violations cert));
+  (match cert with
+  | Certify.Refuted (Certify.Positive_cycle { graph; period; _ } :: _) ->
+    Alcotest.(check string) "cycle graph" "t1" graph;
+    Alcotest.(check (float 0.0)) "cycle period" 10.0 period
+  | _ -> Alcotest.fail "expected a positive cycle first");
+  Alcotest.(check int) "summary joins all three" 2
+    (List.length (String.split_on_char ';' (Certify.summary cert)) - 1);
+  (* Budgets with no SRDF: the graph is not Bellman–Forded, and the
+     non-finite budget's processor is not summed. *)
+  let wa = Config.find_task cfg "wa" in
+  let undefined =
+    {
+      Config.budget = (fun w -> if w = wa then Float.nan else 50.0);
+      Config.capacity = (fun _ -> 5);
+    }
+  in
+  Alcotest.(check (list string))
+    "no SRDF" [ "non-finite"; "budget-range"; "proc-capacity" ]
+    (List.map Violation.constraint_id
+       (Certify.violations (Certify.check cfg undefined)))
+
+(* The min-budget two-phase baseline rounds onto cycles that overshoot
+   µ by about 2^-50: accepted by a tolerant float check, refuted
+   exactly, and so a [Solver_failure] naming the cycle. *)
+let test_two_phase_min_budget_refuted () =
+  List.iter
+    (fun (name, make) ->
+      match Two_phase.budget_first ~policy:Two_phase.Min_budget (make ()) with
+      | Error (Two_phase.Solver_failure msg) ->
+        Alcotest.(check bool)
+          (name ^ ": names the positive cycle")
+          true
+          (contains msg "failed verification" && contains msg "positive cycle")
+      | Error e ->
+        Alcotest.failf "%s: wrong error: %a" name Two_phase.pp_error e
+      | Ok _ -> Alcotest.failf "%s: refuted mapping returned Ok" name)
+    [
+      ("modem", Workloads.Apps.modem);
+      ("car-radio", Workloads.Apps.car_radio);
+      ("mp3-playback", Workloads.Apps.mp3_playback);
+    ]
+
+let test_slp_unverified_on_apps () =
+  List.iter
+    (fun (name, make) ->
+      match Slp.solve (make ()) with
+      | Error e -> Alcotest.failf "%s: slp failed: %a" name Slp.pp_error e
+      | Ok o ->
+        Alcotest.(check bool) (name ^ ": not verified") false o.Slp.verified)
+    [ ("modem", Workloads.Apps.modem); ("car-radio", Workloads.Apps.car_radio) ]
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ test_rat_of_float_roundtrip_qcheck () ] in
   let cert_qsuite =
@@ -317,4 +393,13 @@ let () =
       ( "certify",
         Alcotest.test_case "mutations refuted" `Quick test_certify_mutations
         :: cert_qsuite );
+      ( "checker",
+        [
+          Alcotest.test_case "every violation listed" `Quick
+            test_certify_lists_every_violation;
+          Alcotest.test_case "two-phase min-budget refuted" `Quick
+            test_two_phase_min_budget_refuted;
+          Alcotest.test_case "slp unverified on apps" `Quick
+            test_slp_unverified_on_apps;
+        ] );
     ]

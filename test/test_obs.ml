@@ -286,7 +286,13 @@ let test_json_rejects_damage () =
       {|{"seq":0.5,"t":0,"ev":"span_open","name":"x"}|};
       {|{"seq":0,"t":0,"ev":"span_open","name":"x"} trailing|};
       {|{"seq":0,"t":0,"ev":"restore","index":1,"hit":"yes"}|};
-    ]
+      {|{"seq":0,"t":0,"ev":"span_open","name":"x","name":"y"}|};
+    ];
+  (* The shared flat-object grammar counts '\r' as whitespace. *)
+  Alcotest.(check bool)
+    "carriage return is whitespace" true
+    (Trace.of_json_line "{\"seq\":0,\r\"t\":0,\"ev\":\"span_open\",\"name\":\"x\"}"
+    <> None)
 
 (* ---- metrics aggregation and the report table -------------------- *)
 

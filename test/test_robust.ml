@@ -360,7 +360,13 @@ module Tradeoff = Budgetbuf.Tradeoff
 
 let test_pareto_survives_failing_candidate () =
   let cfg = Workloads.Gen.paper_t1 () in
-  let clean = Pareto.frontier ~steps:5 cfg in
+  (* The reference sweep is fault-free by construction: the default
+     policy would honour BUDGETBUF_FAULT and recover every candidate. *)
+  let clean =
+    Pareto.frontier ~steps:5
+      ~policy:{ Recovery.fault = None; max_rungs = 4 }
+      cfg
+  in
   let faulty =
     Pool.with_pool ~domains:4 @@ fun pool ->
     Pareto.frontier ~steps:5

@@ -10,6 +10,7 @@
    but deadlines, fault recovery, admission control and crash/restart
    cache recovery are all deterministic enough to assert here. *)
 
+module Json = Obs.Json
 module Wire = Serve.Wire
 module Protocol = Serve.Protocol
 module Bounded = Serve.Bounded
@@ -31,32 +32,32 @@ let check_bool = Alcotest.(check bool)
 let test_wire_roundtrip () =
   let obj =
     [
-      ("op", Wire.String "admit");
-      ("id", Wire.String "j\"1\n\\x");
-      ("deadline_s", Wire.Number 0.1);
-      ("n", Wire.Number 42.0);
-      ("flag", Wire.Bool true);
+      ("op", Json.String "admit");
+      ("id", Json.String "j\"1\n\\x");
+      ("deadline_s", Json.Number 0.1);
+      ("n", Json.Number 42.0);
+      ("flag", Json.Bool true);
     ]
   in
-  let line = Wire.render obj in
-  (match Wire.parse line with
+  let line = Json.render obj in
+  (match Json.parse line with
   | Ok obj' ->
     check_bool "objects equal" true (obj = obj');
     check_string "string field" "j\"1\n\\x"
-      (Option.get (Wire.str obj' "id"));
-    check_int "int field" 42 (Option.get (Wire.int obj' "n"));
-    check_bool "bool field" true (Option.get (Wire.bool obj' "flag"))
+      (Option.get (Json.str obj' "id"));
+    check_int "int field" 42 (Option.get (Json.int obj' "n"));
+    check_bool "bool field" true (Option.get (Json.bool obj' "flag"))
   | Error e -> Alcotest.failf "parse failed: %s" e);
   (* %.17g floats survive bit-exactly. *)
   let f = 0.30000000000000004 in
-  match Wire.parse (Wire.render [ ("x", Wire.Number f) ]) with
+  match Json.parse (Json.render [ ("x", Json.Number f) ]) with
   | Ok o ->
-    check_bool "float bit-exact" true (Option.get (Wire.number o "x") = f)
+    check_bool "float bit-exact" true (Option.get (Json.number o "x") = f)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_wire_rejects () =
   let bad line =
-    match Wire.parse line with
+    match Json.parse line with
     | Ok _ -> Alcotest.failf "accepted %S" line
     | Error _ -> ()
   in
@@ -66,14 +67,14 @@ let test_wire_rejects () =
   bad "{\"a\":1} trailing";
   bad "{\"a\":[1]}";
   bad "not json";
-  (match Wire.render [ ("x", Wire.Number Float.nan) ] with
+  (match Json.render [ ("x", Json.Number Float.nan) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nan must be rejected");
   (* Wrong-typed accessors answer None, not garbage. *)
-  match Wire.parse "{\"a\":1.5}" with
+  match Json.parse "{\"a\":1.5}" with
   | Ok o ->
-    check_bool "not a string" true (Wire.str o "a" = None);
-    check_bool "not integral" true (Wire.int o "a" = None)
+    check_bool "not a string" true (Json.str o "a" = None);
+    check_bool "not integral" true (Json.int o "a" = None)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -316,7 +317,13 @@ let test_protocol_rejects () =
   bad "{\"op\":\"frobnicate\"}";
   bad "{\"id\":\"j\"}";
   (* missing op *)
-  bad "{\"op\":\"admit\",\"id\":\"j\",\"config\":\"x\",\"deadline_s\":\"soon\"}"
+  bad "{\"op\":\"admit\",\"id\":\"j\",\"config\":\"x\",\"deadline_s\":\"soon\"}";
+  (* Grammar errors carry the wire's prefix. *)
+  match Protocol.request_of_line "{\"op\":{\"a\":1}}" with
+  | Error msg ->
+    check_string "malformed prefix" "malformed request: nested values not allowed"
+      msg
+  | Ok _ -> Alcotest.fail "nested request accepted"
 
 (* Protocol versioning: ping and ready carry [Protocol.version]; a
    mismatched peer fails with one clean line, while a bare probe
@@ -324,8 +331,8 @@ let test_protocol_rejects () =
 let test_protocol_version () =
   let ping = Protocol.request_to_line Protocol.Ping in
   check_bool "ping carries v" true
-    (match Wire.parse ping with
-    | Ok obj -> Wire.int obj "v" = Some Protocol.version
+    (match Json.parse ping with
+    | Ok obj -> Json.int obj "v" = Some Protocol.version
     | Error _ -> false);
   (match Protocol.request_of_line "{\"op\":\"ping\"}" with
   | Ok Protocol.Ping -> ()
@@ -341,8 +348,8 @@ let test_protocol_version () =
   | Ok _ -> Alcotest.fail "mismatched ping version must be refused");
   let ready = Protocol.response_to_line (Protocol.Ready { state = Protocol.Serving }) in
   check_bool "ready carries v" true
-    (match Wire.parse ready with
-    | Ok obj -> Wire.int obj "v" = Some Protocol.version
+    (match Json.parse ready with
+    | Ok obj -> Json.int obj "v" = Some Protocol.version
     | Error _ -> false);
   (match
      Protocol.response_of_line
