@@ -99,12 +99,7 @@ let bechamel_suite () =
      into a stall, so every solve pays base + relaxed (see
      docs/robustness.md). *)
   let recover cfg =
-    let policy =
-      {
-        Robust.Recovery.fault = Some Robust.Fault.stall_first;
-        max_rungs = 4;
-      }
-    in
+    let policy = { Robust.Recovery.fault = Some Robust.Fault.stall_first } in
     fun () -> ignore (Mapping.solve ~policy cfg)
   in
   let sweep gen () =
@@ -562,24 +557,21 @@ let sparse_report ppf =
           && Float.abs (rd.Conic.Model.objective -. rs.Conic.Model.objective)
              <= 1e-4 *. (1.0 +. Float.abs rd.Conic.Model.objective)
         in
-        let fallbacks = rs.Conic.Model.raw.Conic.Socp.kkt_fallbacks in
-        (n, t_dense, t_sparse, agree, fallbacks))
+        (n, t_dense, t_sparse, agree))
       sizes
   in
   Format.fprintf ppf
     "  actors      dense        sparse      speedup   agree@.";
   List.iter
-    (fun (n, td, ts, agree, fallbacks) ->
-      Format.fprintf ppf "  %6d  %8.1f ms  %8.1f ms  %7.1fx   %s%s@." n
+    (fun (n, td, ts, agree) ->
+      Format.fprintf ppf "  %6d  %8.1f ms  %8.1f ms  %7.1fx   %s@." n
         (1000.0 *. td) (1000.0 *. ts)
         (td /. Float.max 1e-9 ts)
-        (if agree then "yes" else "NO")
-        (if fallbacks > 0 then Printf.sprintf "  (%d dense fallbacks)" fallbacks
-         else ""))
+        (if agree then "yes" else "NO"))
     rows;
-  let n_max, td_max, ts_max, _, _ =
+  let n_max, td_max, ts_max, _ =
     List.fold_left
-      (fun ((n0, _, _, _, _) as acc) ((n, _, _, _, _) as row) ->
+      (fun ((n0, _, _, _) as acc) ((n, _, _, _) as row) ->
         if n > n0 then row else acc)
       (List.hd rows) rows
   in
@@ -589,13 +581,13 @@ let sparse_report ppf =
   let oc = open_out "BENCH_sparse.json" in
   let buf = Buffer.create 256 in
   List.iteri
-    (fun i (n, td, ts, agree, fallbacks) ->
+    (fun i (n, td, ts, agree) ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
         (Printf.sprintf
            "{ \"actors\": %d, \"dense_s\": %.6f, \"sparse_s\": %.6f, \
-            \"agree\": %b, \"fallbacks\": %d }"
-           n td ts agree fallbacks))
+            \"agree\": %b }"
+           n td ts agree))
     rows;
   Printf.fprintf oc "{ \"rows\": [ %s ], \"speedup_at_%d\": %.3f }\n"
     (Buffer.contents buf) n_max speedup;

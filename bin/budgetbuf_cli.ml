@@ -90,25 +90,14 @@ let fault_arg =
           "Inject a deterministic fault, for exercising the recovery \
            ladder and the exact certifier: \
            $(b,KIND[,iter=N][,attempts=N|all][,only=I]) with kind \
-           $(b,stall), $(b,nan), $(b,slow), $(b,dense_kkt) or \
-           $(b,bad_round) (see docs/robustness.md).")
-
-let no_warm_arg =
-  Arg.(
-    value & flag
-    & info [ "no-warm-start" ]
-        ~doc:
-          "Disable warm starts in sweeps (tradeoff, dse, pareto).  By \
-           default each sweep runs one cold anchor solve whose solution \
-           seeds every candidate; results are bit-identical with or \
-           without $(b,--jobs) and across $(b,--resume), but cold starts \
-           burn more interior-point iterations per candidate.")
+           $(b,stall), $(b,nan), $(b,slow) or $(b,bad_round) (see \
+           docs/robustness.md).")
 
 (* Resolves --fault (falling back to BUDGETBUF_FAULT) to a recovery
    policy for Mapping.solve and the sweep drivers. *)
 let policy_of_fault fault =
   match fault with
-  | Some plan -> { (Recovery.default_policy ()) with Recovery.fault = Some plan }
+  | Some plan -> { Recovery.fault = Some plan }
   | None -> Recovery.default_policy ()
 
 (* ------------------------------------------------------------------ *)
@@ -379,9 +368,6 @@ let do_solve () path simulate continuous output fault trace metrics =
         Format.printf "recovery: %d attempts (%a)@."
           r.Mapping.stats.Mapping.attempts Recovery.pp_trace
           r.Mapping.recovery;
-      if r.Mapping.stats.Mapping.kkt_fallbacks > 0 then
-        Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
-          r.Mapping.stats.Mapping.kkt_fallbacks;
       if continuous then
         List.iter
           (fun w ->
@@ -485,8 +471,8 @@ let buffers_arg =
           "Comma-separated buffer names to cap (default: every buffer of \
            the configuration).")
 
-let do_tradeoff () path (lo, hi) buffer_names jobs fault no_warm certify
-    resume deadline candidate_deadline trace metrics =
+let do_tradeoff () path (lo, hi) buffer_names jobs fault certify resume
+    deadline candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
@@ -524,7 +510,7 @@ let do_tradeoff () path (lo, hi) buffer_names jobs fault no_warm certify
         Tradeoff.capacity_sweep
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg ~buffers ~caps
+          cfg ~buffers ~caps
       in
       let tasks = Config.all_tasks cfg in
       Format.printf "%-6s" "cap";
@@ -558,20 +544,6 @@ let do_tradeoff () path (lo, hi) buffer_names jobs fault no_warm certify
         let reasons = List.sort_uniq compare (List.map snd skipped) in
         Format.printf "skipped: %d (%s)@." (List.length skipped)
           (String.concat ", " reasons));
-      (* Sparse-backend health: how many iterations across the sweep
-         reran on the dense fallback (restored points report 0 — the
-         solve did not run again). *)
-      let fallbacks =
-        List.fold_left
-          (fun acc (p : Tradeoff.point) ->
-            match p.Tradeoff.result with
-            | Ok r -> acc + r.Mapping.stats.Mapping.kkt_fallbacks
-            | Error _ -> acc)
-          0 points
-      in
-      if fallbacks > 0 then
-        Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
-          fallbacks;
       if certify then begin
         let solved =
           List.filter_map
@@ -596,9 +568,8 @@ let tradeoff_cmd =
     (Cmd.info "tradeoff" ~doc)
     Term.(
       const do_tradeoff $ logs_term $ file_arg $ caps_arg $ buffers_arg
-      $ jobs_arg $ fault_arg $ no_warm_arg $ certify_arg
-      $ resume_arg $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg
-      $ metrics_arg)
+      $ jobs_arg $ fault_arg $ certify_arg $ resume_arg $ deadline_arg
+      $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
@@ -1076,7 +1047,7 @@ let steps_arg =
     value & opt int 9
     & info [ "steps" ] ~docv:"N" ~doc:"Number of weight ratios to sweep.")
 
-let do_pareto () path steps jobs fault no_warm certify resume deadline
+let do_pareto () path steps jobs fault certify resume deadline
     candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
@@ -1101,7 +1072,7 @@ let do_pareto () path steps jobs fault no_warm certify resume deadline
         Budgetbuf.Pareto.frontier ~steps
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg
+          cfg
       in
       let print_skipped () =
         match sweep.Budgetbuf.Pareto.skipped with
@@ -1146,14 +1117,14 @@ let pareto_cmd =
   Cmd.v (Cmd.info "pareto" ~doc)
     Term.(
       const do_pareto $ logs_term $ file_arg $ steps_arg $ jobs_arg
-      $ fault_arg $ no_warm_arg $ certify_arg $ resume_arg
-      $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
+      $ fault_arg $ certify_arg $ resume_arg $ deadline_arg
+      $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dse                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let do_dse () path (lo, hi) jobs fault no_warm certify resume deadline
+let do_dse () path (lo, hi) jobs fault certify resume deadline
     candidate_deadline trace metrics =
   match load_config path with
   | Error msg ->
@@ -1179,7 +1150,7 @@ let do_dse () path (lo, hi) jobs fault no_warm certify resume deadline
         Budgetbuf.Dse.throughput_curve
           ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
           ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg ~caps
+          cfg ~caps
       in
       Format.printf "%-6s %-12s@." "cap" "min period";
       let skipped = ref [] in
@@ -1225,8 +1196,8 @@ let dse_cmd =
   Cmd.v (Cmd.info "dse" ~doc)
     Term.(
       const do_dse $ logs_term $ file_arg $ caps_arg $ jobs_arg $ fault_arg
-      $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
-      $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
+      $ certify_arg $ resume_arg $ deadline_arg $ candidate_deadline_arg
+      $ obs_trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bind                                                                *)

@@ -187,7 +187,6 @@ let solve ?params m =
         primal_residual = nan;
         dual_residual = nan;
         iterations = 0;
-        kkt_fallbacks = 0;
       }
     in
     {

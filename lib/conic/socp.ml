@@ -25,12 +25,11 @@ type solution = {
   primal_residual : float;
   dual_residual : float;
   iterations : int;
-  kkt_fallbacks : int;
 }
 
-type fault = Stall | Nan | Slow | Dense_kkt
+type fault = Stall | Nan | Slow
 
-type presolve = Presolve_off | Presolve_auto | Presolve_force
+type presolve = Presolve_auto | Presolve_force
 
 type warm = { wx : Vec.t; ws : Vec.t; wz : Vec.t }
 
@@ -107,13 +106,12 @@ let make_sparse_kkt ~params ~gsp cone =
    via dz = W⁻²·(G·dx − bz) and the normal equations
    (Gᵀ·W⁻²·G)·dx = bx + Gᵀ·W⁻²·bz, factorised once per iteration.
 
-   The factorisation backend is selected per iteration: [sparse]
-   carries the once-per-solve symbolic analysis and each iteration
-   only refills the fixed pattern and runs the numeric
-   refactorisation; when the sparse factorisation fails (or a
-   [Dense_kkt] fault forces it) the iteration falls back to the dense
-   oracle path, counted in [fallbacks]. *)
-let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
+   With [sparse] set, the once-per-solve symbolic analysis is reused
+   and each iteration only refills the fixed pattern and runs the
+   numeric refactorisation; otherwise the Gram matrix is formed and
+   factorised densely.  A failed factorisation raises the backend's
+   [Not_positive_definite]. *)
+let make_kkt ~params ~sparse ~gsp w =
   (* The sparse rows of G have a handful of entries each, so the scaled
      matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
      instead of densifying. *)
@@ -123,55 +121,36 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
   in
   (* Two rounds of iterative refinement recover the digits lost when the
      factorisation needed a diagonal shift near convergence. *)
-  let dense_refined () =
-    let mmat = Sparse_rows.gram scaled in
-    let fact = Cholesky.factor ~max_shift:1e-2 mmat in
-    fun rhs ->
-      let dx = Cholesky.solve fact rhs in
-      for _ = 1 to 2 do
-        let r = Vec.sub rhs (Mat.mul_vec mmat dx) in
-        Vec.axpy 1.0 (Cholesky.solve fact r) dx
-      done;
-      dx
-  in
   let solve_refined =
     match sparse with
-    | None -> dense_refined ()
+    | None ->
+      let mmat = Sparse_rows.gram scaled in
+      let fact = Cholesky.factor ~max_shift:1e-2 mmat in
+      fun rhs ->
+        let dx = Cholesky.solve fact rhs in
+        for _ = 1 to 2 do
+          let r = Vec.sub rhs (Mat.mul_vec mmat dx) in
+          Vec.axpy 1.0 (Cholesky.solve fact r) dx
+        done;
+        dx
     | Some { pattern; symbolic } ->
-      let fall_back () =
-        incr fallbacks;
-        emit_obs params
-          (Obs.Trace.Kkt_factor
-             {
-               backend = "dense";
-               phase = "fallback";
-               n = Sparse_rows.cols gsp;
-               nnz = 0;
-             });
-        dense_refined ()
-      in
-      if force_dense then fall_back ()
-      else begin
-        Sparse_rows.fill_gram scaled ~into:pattern;
-        match Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern with
-        | exception Linalg.Sparse.Not_positive_definite -> fall_back ()
-        | fact ->
-          emit_obs params
-            (Obs.Trace.Kkt_factor
-               {
-                 backend = "sparse";
-                 phase = "numeric";
-                 n = Sparse_rows.cols gsp;
-                 nnz = Linalg.Sparse.factor_nnz symbolic;
-               });
-          fun rhs ->
-            let dx = Linalg.Sparse.solve fact rhs in
-            for _ = 1 to 2 do
-              let r = Vec.sub rhs (Linalg.Sparse.mul_vec pattern dx) in
-              Vec.axpy 1.0 (Linalg.Sparse.solve fact r) dx
-            done;
-            dx
-      end
+      Sparse_rows.fill_gram scaled ~into:pattern;
+      let fact = Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern in
+      emit_obs params
+        (Obs.Trace.Kkt_factor
+           {
+             backend = "sparse";
+             phase = "numeric";
+             n = Sparse_rows.cols gsp;
+             nnz = Linalg.Sparse.factor_nnz symbolic;
+           });
+      fun rhs ->
+        let dx = Linalg.Sparse.solve fact rhs in
+        for _ = 1 to 2 do
+          let r = Vec.sub rhs (Linalg.Sparse.mul_vec pattern dx) in
+          Vec.axpy 1.0 (Linalg.Sparse.solve fact r) dx
+        done;
+        dx
   in
   fun ~bx ~bz ->
     let wbz = Cone.apply_inv w (Cone.apply_inv w bz) in
@@ -212,13 +191,10 @@ let solve_direct ~params ~c ~g ~h cone =
       primal_residual = 0.0;
       dual_residual = Vec.nrm2 c;
       iterations = 0;
-      kkt_fallbacks = 0;
     }
   end
   else begin
     let deg = float_of_int (Cone.degree cone + 1) in
-    (* Per-solve mutable state only (no globals): safe across domains. *)
-    let fallbacks = ref 0 in
     let sparse =
       match params.kkt with
       | `Dense -> None
@@ -297,7 +273,6 @@ let solve_direct ~params ~c ~g ~h cone =
         primal_residual = pres;
         dual_residual = dres;
         iterations;
-        kkt_fallbacks = !fallbacks;
       }
     in
     let result_certificate status iterations =
@@ -319,7 +294,6 @@ let solve_direct ~params ~c ~g ~h cone =
         primal_residual = nan;
         dual_residual = nan;
         iterations;
-        kkt_fallbacks = !fallbacks;
       }
     in
     let rec iterate iter =
@@ -348,17 +322,12 @@ let solve_direct ~params ~c ~g ~h cone =
         | Some Nan ->
           !s.(0) <- nan;
           !z.(0) <- nan;
-          iterate_clean ~force_dense:false (iter + 1)
+          iterate_clean (iter + 1)
         | Some Slow ->
           Unix.sleepf 0.5;
-          iterate_clean ~force_dense:false iter
-        | Some Dense_kkt ->
-          (* Force this iteration's sparse factorisation onto the dense
-             fallback path — the deterministic way tests exercise the
-             fallback accounting without fishing for a singular KKT. *)
-          iterate_clean ~force_dense:true iter
-        | None -> iterate_clean ~force_dense:false iter
-    and iterate_clean ~force_dense iter =
+          iterate_clean iter
+        | None -> iterate_clean iter
+    and iterate_clean iter =
       (* Homogeneous residuals. *)
       let hx = Sparse_rows.mul_vec gsp !x in
       let res_z =
@@ -473,8 +442,11 @@ let solve_direct ~params ~c ~g ~h cone =
           match Cone.nt_scaling cone ~s:!s ~z:!z with
           | exception Invalid_argument _ -> finish_or Stalled
           | w -> begin
-            match make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w with
-            | exception Cholesky.Not_positive_definite -> finish_or Stalled
+            match make_kkt ~params ~sparse ~gsp w with
+            | exception
+                (Cholesky.Not_positive_definite
+                | Linalg.Sparse.Not_positive_definite) ->
+              finish_or Stalled
             | kkt ->
               let lam = Cone.lambda w in
               (* Constant second solve: (x₂, z₂) with rhs (−c, h). *)
@@ -605,7 +577,6 @@ let unscale_solution sc ~c ~g ~h sol =
       primal_residual = pres;
       dual_residual = dres;
       iterations = sol.iterations;
-      kkt_fallbacks = sol.kkt_fallbacks;
     }
 
 let solve ?(params = default_params) ~c ~g ~h cone =
@@ -621,7 +592,6 @@ let solve ?(params = default_params) ~c ~g ~h cone =
   in
   let equilibrate =
     match params.presolve with
-    | Presolve_off -> false
     | Presolve_force -> m > 0
     (* Auto: only pay for scaling (and give up the bit-identical
        iteration path) when the data actually spans many orders of

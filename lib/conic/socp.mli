@@ -38,10 +38,6 @@ type solution = {
   primal_residual : float;  (** relative norm of [Gx + s − h] *)
   dual_residual : float;    (** relative norm of [Gᵀz + c] *)
   iterations : int;
-  kkt_fallbacks : int;
-      (** iterations where the sparse KKT factorisation failed (or a
-          [Dense_kkt] fault forced it) and the dense oracle path was
-          used instead; always 0 on the pure dense path *)
 }
 
 (** Deterministic fault injected by tests through {!params.inject}:
@@ -50,18 +46,15 @@ type solution = {
     numerical guards trip on the following pass; [Slow] sleeps half a
     second at the chosen iteration and then proceeds normally — a
     wall-clock-pathological (but otherwise healthy) solve for deadline
-    tests.  [Dense_kkt] forces the chosen iteration's sparse KKT
-    factorisation onto the dense fallback path (a no-op on the dense
-    backend) — the deterministic way to exercise the fallback
-    accounting.  See docs/robustness.md. *)
-type fault = Stall | Nan | Slow | Dense_kkt
+    tests.  See docs/robustness.md. *)
+type fault = Stall | Nan | Slow
 
 (** Presolve policy.  [Presolve_auto] (the default) applies Ruiz
     equilibration ({!Presolve}) only when {!Presolve.badly_scaled}
     holds, so well-scaled problems keep a bit-identical iteration path;
     [Presolve_force] always equilibrates (used by the recovery ladder's
-    re-scaled retry); [Presolve_off] never does. *)
-type presolve = Presolve_off | Presolve_auto | Presolve_force
+    re-scaled retry). *)
+type presolve = Presolve_auto | Presolve_force
 
 (** A warm-start point in the {e original} problem coordinates —
     typically the [x], [s], [z] of a neighbouring instance's solution.
@@ -100,11 +93,11 @@ type params = {
       (** KKT factorisation backend, default [`Sparse]: the normal
           equations run through {!Linalg.Sparse} — one symbolic
           analysis per solve, one numeric refactorisation per
-          iteration — falling back to the dense path (counted in
-          {!solution.kkt_fallbacks}) for any iteration whose sparse
-          factorisation fails.  [`Dense] is the differential-testing
-          oracle (and the [Jittered] recovery rung's pin); both
-          backends satisfy the same tolerances.  See docs/solver.md. *)
+          iteration.  A factorisation that fails on either backend ends
+          the solve as {!status.Stalled}, which the recovery ladder
+          retries.  [`Dense] is the differential-testing oracle and
+          the [Jittered] recovery rung's pin; both backends satisfy
+          the same tolerances.  See docs/solver.md. *)
   warm : warm option;
       (** optional warm-start point (default [None] — cold start). *)
 }

@@ -133,7 +133,7 @@ let decode_point cap payload =
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
 let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
-    ?journal ?cancel ?obs ?on_progress ?(warm_start = true) cfg ~caps =
+    ?journal ?cancel ?obs ?on_progress cfg ~caps =
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()
   in
@@ -146,7 +146,7 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
   let solve_cap index =
     let cap = caps.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_obs
@@ -176,10 +176,8 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
            candidate, so the point is bit-identical however the sweep
            is scheduled or resumed; see [Durability.warm_anchor]. *)
         let params =
-          if not warm_start then params
-          else
-            Durability.params_with_warm params
-              (Durability.warm_anchor ?params capped)
+          Durability.params_with_warm params
+            (Durability.warm_anchor ?params capped)
         in
         match
           min_period_scale ?params ~policy:candidate_policy ~on_failure

@@ -109,12 +109,11 @@ val curve_skipped : curve_point list -> (int * string) list
     slot when a journal is consulted, and the pool's dispatch/join
     events.
 
-    Warm starts: unless [~warm_start:false], each candidate runs one
-    cold anchor solve (its own caps, unscaled period) whose solution
-    seeds every probe of the bisection (see
-    {!Budgetbuf.Durability.warm_anchor}); the seed is a pure function
-    of the candidate, so points are bit-identical across pool sizes
-    and journal resumes. *)
+    Warm starts: each candidate runs one cold anchor solve (its own
+    caps, unscaled period) whose solution seeds every probe of the
+    bisection (see {!Budgetbuf.Durability.warm_anchor}); the seed is a
+    pure function of the candidate, so points are bit-identical across
+    pool sizes and journal resumes. *)
 val throughput_curve :
   ?params:Conic.Socp.params ->
   ?policy:Robust.Recovery.policy ->
@@ -125,7 +124,6 @@ val throughput_curve :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   caps:int list ->
   curve_point list

@@ -10,7 +10,6 @@ type stats = {
   iterations : int;
   attempts : int;
   solve_time_s : float;
-  kkt_fallbacks : int;
 }
 
 type result = {
@@ -50,9 +49,6 @@ let short_reason = function
     else if String.length msg >= 8 && String.sub msg 0 8 = "uncaught" then
       "exception"
     else "failure"
-
-let round_budget = Rounding.round_budget
-let round_capacity = Rounding.round_capacity
 
 (* TDM-simulation cross-check of a rounded mapping: the dataflow model
    is conservative, so a mapping whose PAS admits period µ must
@@ -294,8 +290,6 @@ let fallback_lp cfg ~obs trace stats final_status =
         {
           Recovery.stage = Recovery.Fallback_lp;
           status = "recovered (exact simplex)";
-          iterations = 0;
-          time_s = 0.0;
         }
       in
       let trace = trace @ [ attempt ] in
@@ -347,7 +341,6 @@ let solve ?params ?policy ?obs cfg =
       iterations = result.Model.raw.Socp.iterations;
       attempts = Recovery.attempts trace;
       solve_time_s = elapsed;
-      kkt_fallbacks = result.Model.raw.Socp.kkt_fallbacks;
     }
   in
   match result.Model.status with

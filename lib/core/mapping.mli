@@ -11,12 +11,13 @@
     continuous point; it is nevertheless checked and reported.
 
     Resilience (docs/robustness.md): when the cone solve stalls, the
-    recovery ladder retries with relaxed tolerances, a deeper iteration
-    budget and a re-equilibrated problem, and finally restates the
-    problem on the exact-simplex buffer LP of {!Two_phase}.  A
-    recovered (degraded) solve must pass certification — the exact
-    certificate and the simulation hard check — or [solve] returns an error rather
-    than silently handing back an unverified mapping. *)
+    recovery ladder retries with relaxed tolerances, then with a
+    re-equilibrated problem on a deeper iteration budget and the dense
+    KKT backend, and finally restates the problem on the exact-simplex
+    buffer LP of {!Two_phase}.  A recovered (degraded) solve must pass
+    certification — the exact certificate and the simulation hard
+    check — or [solve] returns an error rather than silently handing
+    back an unverified mapping. *)
 
 type stats = {
   variables : int;
@@ -24,10 +25,6 @@ type stats = {
   iterations : int;  (** interior-point iterations of the final attempt *)
   attempts : int;  (** recovery-ladder attempts, 1 in normal operation *)
   solve_time_s : float;  (** wall-clock time of the whole solve ladder *)
-  kkt_fallbacks : int;
-      (** iterations of the final attempt where the sparse KKT
-          factorisation fell back to the dense oracle (0 on the dense
-          backend) *)
 }
 
 type result = {
@@ -89,16 +86,6 @@ val solve :
   ?obs:Obs.Ctx.t ->
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
-
-(** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
-    tolerance so values within 1e-9 of a grid point do not round up an
-    extra granule.  (= {!Rounding.round_budget}.) *)
-val round_budget : granularity:float -> float -> float
-
-(** [round_capacity ~initial_tokens delta'] is
-    [max 1 (ι + ⌈δ′⌉)] with the same tolerance.
-    (= {!Rounding.round_capacity}.) *)
-val round_capacity : initial_tokens:int -> float -> int
 
 (** [short_reason e] is a short stable label for sweep skip summaries:
     ["infeasible"], ["timed out"], ["stalled"], ["iteration limit"],

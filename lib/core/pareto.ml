@@ -74,7 +74,7 @@ let decode_outcome payload =
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
 let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
-    ?journal ?cancel ?obs ?on_progress ?(warm_start = true) cfg =
+    ?journal ?cancel ?obs ?on_progress cfg =
   if steps < 1 then invalid_arg "Pareto.frontier: steps must be >= 1";
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()
@@ -100,7 +100,7 @@ let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
      candidate — order-independent, hence pool- and resume-safe; see
      [Durability.warm_anchor]. *)
   let warm =
-    if (not warm_start) || Array.length ratios = 0 then None
+    if Array.length ratios = 0 then None
     else begin
       let anchor = Config.copy cfg in
       List.iter (fun w -> Config.set_task_weight anchor w ratios.(0)) tasks;
@@ -113,7 +113,7 @@ let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
   let solve_ratio index =
     let ratio = ratios.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_warm

@@ -53,10 +53,10 @@ type sweep = { points : point list; skipped : (float * string) list }
     ["skipped"]), one {!Obs.Trace.Restore} event per slot when a
     journal is consulted, and the pool's dispatch/join events.
 
-    Warm starts: unless [~warm_start:false], one cold anchor solve at
-    the first ratio's weights seeds every candidate (see
-    {!Budgetbuf.Durability.warm_anchor}) — order-independent, hence
-    bit-identical across pool sizes and journal resumes.
+    Warm starts: one cold anchor solve at the first ratio's weights
+    seeds every candidate (see {!Budgetbuf.Durability.warm_anchor}) —
+    order-independent, hence bit-identical across pool sizes and
+    journal resumes.
     @raise Invalid_argument if [steps < 1]. *)
 val frontier :
   ?steps:int ->
@@ -69,7 +69,6 @@ val frontier :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   sweep
 

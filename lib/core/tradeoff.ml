@@ -143,7 +143,6 @@ let decode_result cfg ~candidate ib =
         iterations = 0;
         attempts = 0;
         solve_time_s = 0.0;
-        kkt_fallbacks = 0;
       };
   }
 
@@ -168,7 +167,7 @@ let decode_point cfg ~candidate cap payload =
     None
 
 let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
-    ?cancel ?obs ?on_progress ?(warm_start = true) cfg ~buffers ~caps =
+    ?cancel ?obs ?on_progress cfg ~buffers ~caps =
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()
   in
@@ -179,7 +178,7 @@ let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
      neighbour-chaining — is what keeps warm starts pool- and
      resume-deterministic. *)
   let warm =
-    if (not warm_start) || Array.length caps = 0 then None
+    if Array.length caps = 0 then None
     else begin
       let anchor = Config.copy cfg in
       List.iter
@@ -197,7 +196,7 @@ let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
   let solve_cap index =
     let cap = caps.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_warm

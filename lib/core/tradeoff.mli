@@ -45,9 +45,9 @@ type point = {
     ["timed out"]), one {!Obs.Trace.Restore} event per slot when a
     journal is consulted, and the pool's dispatch/join events.
 
-    Warm starts: unless [~warm_start:false], one cold anchor solve on
-    the first cap's bounds seeds every candidate's interior-point run
-    (see {!Budgetbuf.Durability.warm_anchor}); because every candidate
+    Warm starts: one cold anchor solve on the first cap's bounds seeds
+    every candidate's interior-point run (see
+    {!Budgetbuf.Durability.warm_anchor}); because every candidate
     shares the same anchor, results are bit-identical across pool
     sizes and journal resumes.  Rungs past [Base] of the recovery
     ladder always run cold. *)
@@ -61,7 +61,6 @@ val capacity_sweep :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   buffers:Taskgraph.Config.buffer list ->
   caps:int list ->

@@ -24,7 +24,6 @@ let of_string spec =
       | "stall" -> Ok (Solver Socp.Stall)
       | "nan" -> Ok (Solver Socp.Nan)
       | "slow" -> Ok (Solver Socp.Slow)
-      | "dense_kkt" -> Ok (Solver Socp.Dense_kkt)
       | "bad_round" -> Ok Bad_round
       | "crash" -> Ok (Process Crash)
       | "hang" -> Ok (Process Hang)
@@ -32,8 +31,8 @@ let of_string spec =
       | k ->
         Error
           (Printf.sprintf
-             "unknown fault kind %S (expected stall, nan, slow, dense_kkt, \
-              bad_round, crash, hang or oom)" k))
+             "unknown fault kind %S (expected stall, nan, slow, bad_round, \
+              crash, hang or oom)" k))
     with
     | Error _ as e -> e
     | Ok kind ->
@@ -81,7 +80,6 @@ let kind_name = function
   | Solver Socp.Stall -> "stall"
   | Solver Socp.Nan -> "nan"
   | Solver Socp.Slow -> "slow"
-  | Solver Socp.Dense_kkt -> "dense_kkt"
   | Bad_round -> "bad_round"
   | Process Crash -> "crash"
   | Process Hang -> "hang"

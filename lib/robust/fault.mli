@@ -7,13 +7,13 @@
 
     {v KIND[,iter=N][,attempts=N|all][,only=I] v}
 
-    where [KIND] is [stall], [nan], [slow], [dense_kkt], [bad_round],
-    [crash], [hang] or [oom], [iter] is
-    the interior-point iteration at which the fault fires (default 0),
-    [attempts] is how many leading ladder attempts are faulted
-    (default 1; [all] faults every attempt {e including} the simplex
-    fallback, making the solve fail permanently), and [only] restricts
-    the plan to the [I]-th candidate (0-based) of a sweep.
+    where [KIND] is [stall], [nan], [slow], [bad_round], [crash],
+    [hang] or [oom], [iter] is the interior-point iteration at which
+    the fault fires (default 0), [attempts] is how many leading ladder
+    attempts are faulted (default 1; [all] faults every attempt
+    {e including} the simplex fallback, making the solve fail
+    permanently), and [only] restricts the plan to the [I]-th candidate
+    (0-based) of a sweep.
 
     [bad_round] is different in nature: it leaves the solver alone and
     instead corrupts the solution {e after} rounding (one budget down a

@@ -1,21 +1,15 @@
 module Socp = Conic.Socp
 module Model = Conic.Model
 
-type stage = Base | Relaxed | Deep | Jittered | Fallback_lp
+type stage = Base | Relaxed | Jittered | Fallback_lp
 
-type attempt = {
-  stage : stage;
-  status : string;
-  iterations : int;
-  time_s : float;
-}
+type attempt = { stage : stage; status : string }
 
 type trace = attempt list
 
 let stage_name = function
   | Base -> "base"
   | Relaxed -> "relaxed"
-  | Deep -> "deep"
   | Jittered -> "jittered"
   | Fallback_lp -> "fallback-lp"
 
@@ -28,10 +22,9 @@ let pp_trace ppf trace =
     (fun ppf a -> Format.fprintf ppf "%s: %s" (stage_name a.stage) a.status)
     ppf trace
 
-type policy = { fault : Fault.plan option; max_rungs : int }
+type policy = { fault : Fault.plan option }
 
-let default_policy () = { fault = Fault.of_env (); max_rungs = 4 }
-let no_recovery = { fault = None; max_rungs = 1 }
+let default_policy () = { fault = Fault.of_env () }
 
 let rung_params (base : Socp.params) = function
   | Base | Fallback_lp -> base
@@ -46,7 +39,6 @@ let rung_params (base : Socp.params) = function
       reltol = base.Socp.reltol *. 10.0;
       warm = None;
     }
-  | Deep -> { base with Socp.max_iter = base.Socp.max_iter * 4; warm = None }
   | Jittered ->
     {
       base with
@@ -64,13 +56,10 @@ let rung_params (base : Socp.params) = function
       kkt = `Dense;
     }
 
-let cone_stages = [ Base; Relaxed; Deep; Jittered ]
+let cone_stages = [ Base; Relaxed; Jittered ]
 
 let solve_model ?policy ?(params = Socp.default_params) m =
   let policy = match policy with Some p -> p | None -> default_policy () in
-  let rungs =
-    List.filteri (fun i _ -> i < Int.max 1 policy.max_rungs) cone_stages
-  in
   let run attempt_no stage =
     let p = rung_params params stage in
     let p = { p with Socp.inject = Fault.inject policy.fault ~attempt:attempt_no } in
@@ -91,15 +80,9 @@ let solve_model ?policy ?(params = Socp.default_params) m =
       | None -> ()
       | Some kind ->
         Obs.Ctx.emit o (Obs.Trace.Fault_injected { kind; attempt = attempt_no }));
-    let t0 = Unix.gettimeofday () in
     let r = Model.solve ~params:p m in
     let att =
-      {
-        stage;
-        status = Format.asprintf "%a" Socp.pp_status r.Model.status;
-        iterations = r.Model.raw.Socp.iterations;
-        time_s = Unix.gettimeofday () -. t0;
-      }
+      { stage; status = Format.asprintf "%a" Socp.pp_status r.Model.status }
     in
     (match p.Socp.obs with
     | None -> ()
@@ -121,14 +104,16 @@ let solve_model ?policy ?(params = Socp.default_params) m =
       let trace = att :: trace in
       let final = List.rev trace in
       (match r.Model.status with
-      (* Certificates are exact verdicts of the homogeneous embedding;
-         retrying could only burn time to reach the same answer.  A
-         timed-out attempt is final too: the deadline that expired on
-         this rung can only be more expired on the next. *)
+      (* A certificate ends the ladder.  It is not an exact verdict: a
+         loosened rung can certify infeasibility of a feasible but badly
+         scaled instance (docs/robustness.md), and no later rung
+         re-checks it.  A timed-out attempt is final too: the deadline
+         that expired on this rung can only be more expired on the
+         next. *)
       | Socp.Optimal | Socp.Primal_infeasible | Socp.Dual_infeasible
       | Socp.Timed_out ->
         (r, final)
       | Socp.Iteration_limit | Socp.Stalled ->
         if rest = [] then (r, final) else climb (attempt_no + 1) trace rest)
   in
-  climb 1 [] rungs
+  climb 1 [] cone_stages

@@ -8,8 +8,7 @@
     + [Base] — the caller's parameters, unchanged;
     + [Relaxed] — tolerances loosened by 10× (accepts the "close to
       optimal" iterate the strict run rejected);
-    + [Deep] — [max_iter] raised 4× (slow-but-steady convergence);
-    + [Jittered] — deep iteration budget, loose tolerances, a smaller
+    + [Jittered] — [max_iter] raised 4×, loose tolerances, a smaller
       fraction-to-boundary step, forced Ruiz re-equilibration and the
       dense KKT oracle backend — a genuinely different trajectory
       through the central path.
@@ -19,9 +18,11 @@
     just failed.
 
     The ladder stops at the first attempt that returns [Optimal] or an
-    infeasibility certificate (certificates are exact verdicts; there
-    is nothing to retry).  Every attempt is recorded in a {!trace} that
-    callers surface in stats and reports.  A fifth, problem-specific
+    infeasibility certificate.  A certificate is not an exact verdict:
+    a loosened rung can certify infeasibility of a feasible but badly
+    scaled instance, and no later rung re-checks it (see
+    docs/robustness.md).  Every attempt is recorded in a {!trace} that
+    callers surface in stats and reports.  A fourth, problem-specific
     rung — falling back to the exact-simplex buffer LP — lives in
     [Budgetbuf.Mapping], which alone knows how to restate the problem;
     it reuses {!Fault.covers} and the [Fallback_lp] stage label here.
@@ -30,17 +31,12 @@
     run with a sabotaged solver ({!Conic.Socp.params.inject}), letting
     tests pin every rung deterministically. *)
 
-type stage = Base | Relaxed | Deep | Jittered | Fallback_lp
+type stage = Base | Relaxed | Jittered | Fallback_lp
 
-(** One ladder attempt: which rung, the solver status it returned (as
-    printed by {!Conic.Socp.pp_status}, or a short free-form note for
-    the fallback), and its cost. *)
-type attempt = {
-  stage : stage;
-  status : string;
-  iterations : int;
-  time_s : float;
-}
+(** One ladder attempt: which rung, and the solver status it returned
+    (as printed by {!Conic.Socp.pp_status}, or a short free-form note
+    for the fallback). *)
+type attempt = { stage : stage; status : string }
 
 type trace = attempt list
 
@@ -56,20 +52,13 @@ val recovered : trace -> bool
 (** [pp_trace ppf trace] prints ["base: stalled; relaxed: optimal"]. *)
 val pp_trace : Format.formatter -> trace -> unit
 
-type policy = {
-  fault : Fault.plan option;  (** injected faults, for tests *)
-  max_rungs : int;  (** how many cone-solver rungs to climb, 1–4 *)
-}
+type policy = { fault : Fault.plan option  (** injected faults, for tests *) }
 
-(** [default_policy ()] reads {!Fault.of_env} and enables the full
-    ladder.  Evaluated per call so the environment is honoured even
-    when the library was loaded earlier.
+(** [default_policy ()] reads {!Fault.of_env}.  Evaluated per call so
+    the environment is honoured even when the library was loaded
+    earlier.
     @raise Invalid_argument on a malformed [BUDGETBUF_FAULT]. *)
 val default_policy : unit -> policy
-
-(** [no_recovery] disables every retry (the pre-ladder behaviour):
-    one [Base] attempt, no fault. *)
-val no_recovery : policy
 
 (** [rung_params base stage] is [base] adjusted for [stage] (the table
     above).  [Fallback_lp] returns [base] unchanged. *)

@@ -340,10 +340,9 @@ let release state id =
 (* ---- solving ----------------------------------------------------- *)
 
 let policy_for job =
-  let base = Robust.Recovery.default_policy () in
   match job.fault with
-  | Some plan -> { base with Robust.Recovery.fault = Some plan }
-  | None -> base
+  | Some plan -> { Robust.Recovery.fault = Some plan }
+  | None -> Robust.Recovery.default_policy ()
 
 (* One isolated solve: no shared state, safe on any pool lane.  The
    outcome distinguishes the cacheable verdicts (solved, infeasible —

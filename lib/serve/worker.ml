@@ -220,10 +220,9 @@ let solve_task task =
       Durability.params_with_deadline None ~deadline ~candidate_deadline:None
     in
     let policy =
-      let base = Robust.Recovery.default_policy () in
       match fault with
-      | Some plan -> { base with Robust.Recovery.fault = Some plan }
-      | None -> base
+      | Some plan -> { Robust.Recovery.fault = Some plan }
+      | None -> Robust.Recovery.default_policy ()
     in
     match Mapping.solve ?params ~policy cfg with
     | Ok r ->

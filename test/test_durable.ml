@@ -311,7 +311,7 @@ let test_pool_cancel_wellformed () =
 
 let fault_policy spec =
   match Fault.of_string spec with
-  | Ok plan -> { (Recovery.default_policy ()) with Recovery.fault = Some plan }
+  | Ok plan -> { Recovery.fault = Some plan }
   | Error e -> Alcotest.failf "fault spec %S: %s" spec e
 
 let test_dse_resume_exact_solves () =
@@ -442,18 +442,20 @@ let test_warm_sweep_jobs_determinism () =
   let cfg = Workloads.Gen.paper_t1 () in
   let buffers = Config.all_buffers cfg in
   let caps = [ 1; 2; 3; 4 ] in
-  let seq = Tradeoff.capacity_sweep ~warm_start:true cfg ~buffers ~caps in
+  let seq = Tradeoff.capacity_sweep cfg ~buffers ~caps in
   Pool.with_pool ~domains:4 (fun pool ->
-      let par =
-        Tradeoff.capacity_sweep ~warm_start:true ~pool cfg ~buffers ~caps
-      in
+      let par = Tradeoff.capacity_sweep ~pool cfg ~buffers ~caps in
       check_tradeoff_points_identical seq par);
-  (* The warm path changes the trajectory, never the answer: the cold
-     sweep reaches the same optima within solver tolerance. *)
-  let cold = Tradeoff.capacity_sweep ~warm_start:false cfg ~buffers ~caps in
-  List.iter2
-    (fun (a : Tradeoff.point) (b : Tradeoff.point) ->
-      match (a.Tradeoff.result, b.Tradeoff.result) with
+  (* The warm path changes the trajectory, never the answer: a cold
+     solve of each capped clone reaches the same optimum within solver
+     tolerance. *)
+  List.iter
+    (fun (a : Tradeoff.point) ->
+      let capped = Config.copy cfg in
+      List.iter
+        (fun b -> Config.set_max_capacity capped b (Some a.Tradeoff.cap))
+        buffers;
+      match (a.Tradeoff.result, Mapping.solve capped) with
       | Ok ra, Ok rb ->
         Alcotest.(check bool)
           "warm and cold optima agree" true
@@ -463,14 +465,12 @@ let test_warm_sweep_jobs_determinism () =
         Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
           (Mapping.short_reason eb)
       | _ -> Alcotest.fail "warm start changed a verdict")
-    seq cold
+    seq
 
 let test_warm_dse_resume_bit_identical () =
   let cfg = Workloads.Gen.paper_t1 () in
   let caps = [ 1; 2; 3; 4 ] in
-  let full =
-    Dse.curve_points (Dse.throughput_curve ~warm_start:true cfg ~caps)
-  in
+  let full = Dse.curve_points (Dse.throughput_curve cfg ~caps) in
   let path = temp_journal () in
   let fp = Journal.fingerprint [ "warm-dse-resume" ] in
   (* Kill after the first candidate, then resume under a 4-domain pool:
@@ -482,12 +482,12 @@ let test_warm_dse_resume_bit_identical () =
         incr calls;
         !calls > 1
       in
-      ignore (Dse.throughput_curve ~warm_start:true ~journal:j ~cancel cfg ~caps));
+      ignore (Dse.throughput_curve ~journal:j ~cancel cfg ~caps));
   let prog = ref None in
   with_journal ~fingerprint:fp path (fun j ->
       Pool.with_pool ~domains:4 (fun pool ->
           let points =
-            Dse.throughput_curve ~warm_start:true ~journal:j ~pool
+            Dse.throughput_curve ~journal:j ~pool
               ~on_progress:(fun p -> prog := Some p)
               cfg ~caps
           in
