@@ -22,6 +22,12 @@ let make bs =
   { blocks; dim = !offset; degree = !degree }
 
 let blocks k = List.map snd k.blocks
+
+let soc_blocks k =
+  List.filter_map
+    (function o, Soc n -> Some (o, n) | _, Nonneg _ -> None)
+    k.blocks
+
 let dim k = k.dim
 let degree k = k.degree
 

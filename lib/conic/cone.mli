@@ -20,6 +20,12 @@ val make : block list -> t
 (** [blocks k] returns the block structure. *)
 val blocks : t -> block list
 
+(** [soc_blocks k] lists the [(offset, length)] of every second-order
+    block, in order: the row groups that must share one scale factor in
+    {!Presolve} and whose rows the NT scaling mixes in the sparse KKT
+    pattern. *)
+val soc_blocks : t -> (int * int) list
+
 (** [dim k] is the total dimension of the product space. *)
 val dim : t -> int
 

@@ -108,17 +108,21 @@ type result = {
   raw : Socp.solution;
 }
 
-(* Fold duplicate variables of an expression into a dense row of G and
-   the matching entry of h: the row states s_row = e(x) = h_row − G_row·x,
-   so G_row = −coeffs and h_row = const.  Variables pinned with [fix]
-   are substituted by their constant here. *)
+(* Write one row of G (as its terms) and the matching entry of h: the
+   row states s_row = e(x) = h_row − G_row·x, so G_row = −coeffs and
+   h_row = const.  Variables pinned with [fix] are substituted by their
+   constant here.  Terms stay in expression order, so
+   [Sparse_rows.of_rows] sums duplicate variables in that order. *)
 let emit_row m g h row e =
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt m.fixed v with
-      | Some value -> h.(row) <- h.(row) +. (k *. value)
-      | None -> Linalg.Mat.update g row v (fun x -> x -. k))
-    e.terms;
+  g.(row) <-
+    List.filter_map
+      (fun (k, v) ->
+        match Hashtbl.find_opt m.fixed v with
+        | Some value ->
+          h.(row) <- h.(row) +. (k *. value);
+          None
+        | None -> Some (v, -.k))
+      e.terms;
   h.(row) <- h.(row) +. e.const
 
 (* A row block whose variables are all pinned reduces to constants: a
@@ -205,7 +209,7 @@ let solve ?params m =
         acc + match b with Row_nonneg _ -> 1 | Row_soc es -> List.length es)
       0 blocks
   in
-  let g = Linalg.Mat.create mrows m.nvars in
+  let g_rows = Array.make mrows [] in
   let h = Linalg.Vec.create mrows in
   let cone_blocks = ref [] in
   let row = ref 0 in
@@ -213,13 +217,13 @@ let solve ?params m =
     (fun b ->
       match b with
       | Row_nonneg e ->
-        emit_row m g h !row e;
+        emit_row m g_rows h !row e;
         incr row;
         cone_blocks := Cone.Nonneg 1 :: !cone_blocks
       | Row_soc es ->
         List.iter
           (fun e ->
-            emit_row m g h !row e;
+            emit_row m g_rows h !row e;
             incr row)
           es;
         cone_blocks := Cone.Soc (List.length es) :: !cone_blocks)
@@ -243,6 +247,7 @@ let solve ?params m =
       | Some value -> obj_fixed := !obj_fixed +. (k *. value)
       | None -> c.(v) <- c.(v) +. k)
     m.objective.terms;
+  let g = Sparse_rows.of_rows ~cols:m.nvars g_rows in
   let sol = Socp.solve ?params ~c ~g ~h cone in
   {
     status = sol.Socp.status;

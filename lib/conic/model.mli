@@ -103,5 +103,7 @@ type result = {
   raw : Socp.solution;
 }
 
-(** [solve ?params m] assembles [(c, G, h, K)] and runs {!Socp.solve}. *)
+(** [solve ?params m] assembles [(c, G, h, K)] — [G] as
+    {!Sparse_rows.t}, built once from each row's terms — and runs
+    {!Socp.solve}. *)
 val solve : ?params:Socp.params -> model -> result

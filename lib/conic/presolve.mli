@@ -10,7 +10,9 @@
 
     by the classic Ruiz iteration (repeatedly dividing every row and
     column by the square root of its infinity norm) and maps solutions
-    back exactly: [x = Dc·x̂], [s = Dr⁻¹·ŝ], [z = Dr·ẑ/σ].
+    back exactly: [x = Dc·x̂], [s = Dr⁻¹·ŝ], [z = Dr·ẑ/σ].  [G] and [Ĝ]
+    are {!Sparse_rows.t}: each round touches only stored entries and
+    costs [O(m + n + nnz)].
 
     Cone structure is preserved: the rows of one second-order cone
     block share a single scale factor (independent per-row scales would
@@ -26,25 +28,38 @@ type scaling = {
 }
 
 (** [dynamic_range g] is the ratio between the largest and smallest
-    nonzero magnitude in [g] (1 for an all-zero or empty matrix). *)
-val dynamic_range : Linalg.Mat.t -> float
+    stored magnitude in [g] (1 for an all-zero or empty matrix). *)
+val dynamic_range : Sparse_rows.t -> float
 
 (** [badly_scaled g] decides whether equilibration is worth the extra
     work: true when {!dynamic_range} exceeds [1e6].  Used by the
     solver's automatic presolve mode, so well-scaled instances keep
     their bit-identical iteration path. *)
-val badly_scaled : Linalg.Mat.t -> bool
+val badly_scaled : Sparse_rows.t -> bool
 
 (** [equilibrate ?iterations ~c ~g ~h cone] runs the Ruiz iteration
     (default 10 rounds) and returns the scaling together with the
-    scaled data [(ĉ, Ĝ, ĥ)].  The inputs are not modified. *)
+    scaled data [(ĉ, Ĝ, ĥ)].  Only the stored entries of [g] are read
+    and scaled, each as [(v·dᵢ)·eⱼ] per round; an entry that underflows
+    to zero is dropped from [Ĝ].  The inputs are not modified. *)
 val equilibrate :
   ?iterations:int ->
   c:Linalg.Vec.t ->
-  g:Linalg.Mat.t ->
+  g:Sparse_rows.t ->
   h:Linalg.Vec.t ->
   Cone.t ->
-  scaling * Linalg.Vec.t * Linalg.Mat.t * Linalg.Vec.t
+  scaling * Linalg.Vec.t * Sparse_rows.t * Linalg.Vec.t
+
+(** [scale_point t ~x ~s ~z] maps a point of the original problem into
+    the scaled one: [(Dc⁻¹·x, Dr·s, σ·Dr⁻¹·z)], the inverse of
+    {!unscale_point}.  Used to carry a warm start into an equilibrated
+    solve. *)
+val scale_point :
+  scaling ->
+  x:Linalg.Vec.t ->
+  s:Linalg.Vec.t ->
+  z:Linalg.Vec.t ->
+  Linalg.Vec.t * Linalg.Vec.t * Linalg.Vec.t
 
 (** [unscale_point t ~x ~s ~z] maps a scaled primal–dual point back to
     the original problem: [(Dc·x, Dr⁻¹·s, Dr·z/σ)].  Residuals and

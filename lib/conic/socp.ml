@@ -73,29 +73,15 @@ type sparse_kkt = {
   symbolic : Linalg.Sparse.symbolic;
 }
 
-let make_sparse_kkt ~params ~gsp cone =
-  let soc =
-    let off = ref 0 in
-    List.filter_map
-      (fun b ->
-        let o = !off in
-        match b with
-        | Cone.Nonneg d ->
-          off := o + d;
-          None
-        | Cone.Soc d ->
-          off := o + d;
-          Some (o, d))
-      (Cone.blocks cone)
-  in
-  let pattern = Sparse_rows.gram_pattern gsp ~soc in
+let make_sparse_kkt ~params ~g cone =
+  let pattern = Sparse_rows.gram_pattern g ~soc:(Cone.soc_blocks cone) in
   let symbolic = Linalg.Sparse.symbolic pattern in
   emit_obs params
     (Obs.Trace.Kkt_factor
        {
          backend = "sparse";
          phase = "symbolic";
-         n = Sparse_rows.cols gsp;
+         n = Sparse_rows.cols g;
          nnz = Linalg.Sparse.factor_nnz symbolic;
        });
   { pattern; symbolic }
@@ -111,12 +97,12 @@ let make_sparse_kkt ~params ~gsp cone =
    numeric refactorisation; otherwise the Gram matrix is formed and
    factorised densely.  A failed factorisation raises the backend's
    [Not_positive_definite]. *)
-let make_kkt ~params ~sparse ~gsp w =
+let make_kkt ~params ~sparse ~g w =
   (* The sparse rows of G have a handful of entries each, so the scaled
      matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
      instead of densifying. *)
   let scaled =
-    Sparse_rows.scale_rows gsp ~blocks:(Cone.block_layout w)
+    Sparse_rows.scale_rows g ~blocks:(Cone.block_layout w)
       ~scale_block:(Cone.apply_inv_rows w)
   in
   (* Two rounds of iterative refinement recover the digits lost when the
@@ -141,7 +127,7 @@ let make_kkt ~params ~sparse ~gsp w =
            {
              backend = "sparse";
              phase = "numeric";
-             n = Sparse_rows.cols gsp;
+             n = Sparse_rows.cols g;
              nnz = Linalg.Sparse.factor_nnz symbolic;
            });
       fun rhs ->
@@ -154,13 +140,71 @@ let make_kkt ~params ~sparse ~gsp w =
   in
   fun ~bx ~bz ->
     let wbz = Cone.apply_inv w (Cone.apply_inv w bz) in
-    let rhs = Vec.add bx (Sparse_rows.mul_tvec gsp wbz) in
+    let rhs = Vec.add bx (Sparse_rows.mul_tvec g wbz) in
     let dx = solve_refined rhs in
     let dz =
       Cone.apply_inv w
-        (Cone.apply_inv w (Vec.sub (Sparse_rows.mul_vec gsp dx) bz))
+        (Cone.apply_inv w (Vec.sub (Sparse_rows.mul_vec g dx) bz))
     in
     (dx, dz)
+
+(* The data a solution is measured against, with the norms that make
+   its residuals relative. *)
+type data = {
+  c : Vec.t;
+  g : Sparse_rows.t;
+  h : Vec.t;
+  norm_c : float;
+  norm_h : float;
+}
+
+let data ~c ~g ~h =
+  let norm v = Float.max 1.0 (Vec.nrm2 v) in
+  { c; g; h; norm_c = norm c; norm_h = norm h }
+
+(* Relative norms of G·x + s − h and Gᵀ·z + c. *)
+let residuals d ~x ~s ~z =
+  ( Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec d.g x) s) d.h) /. d.norm_h,
+    Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec d.g z) d.c) /. d.norm_c )
+
+(* The solution at a point (x, s, z), its objectives, gap and residuals
+   measured on [d]. *)
+let point d status iterations (x, s, z) =
+  let pres, dres = residuals d ~x ~s ~z in
+  {
+    status;
+    x;
+    s;
+    z;
+    primal_objective = Vec.dot d.c x;
+    dual_objective = -.Vec.dot d.h z;
+    gap = Vec.dot s z;
+    primal_residual = pres;
+    dual_residual = dres;
+    iterations;
+  }
+
+(* An infeasibility certificate: the homogeneous ray (x, s, z)
+   normalised by the certificate magnitude — −hᵀz for a primal, −cᵀx
+   for a dual certificate — rather than by τ. *)
+let ray d status iterations (x, s, z) =
+  let denom =
+    match status with
+    | Primal_infeasible -> Float.max 1e-300 (-.Vec.dot d.h z)
+    | _ -> Float.max 1e-300 (-.Vec.dot d.c x)
+  in
+  {
+    status;
+    x = Vec.scale (1.0 /. denom) x;
+    s = Vec.scale (1.0 /. denom) s;
+    z = Vec.scale (1.0 /. denom) z;
+    primal_objective = nan;
+    dual_objective = nan;
+    gap = nan;
+    primal_residual = nan;
+    dual_residual = nan;
+    iterations;
+  }
 
 (* The solver runs on the homogeneous self-dual embedding
 
@@ -174,7 +218,6 @@ let make_kkt ~params ~sparse ~gsp w =
    gap collapses before the residuals do. *)
 let solve_direct ~params ~c ~g ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
-  let gsp = Sparse_rows.of_mat g in
   if m = 0 then begin
     (* No constraints: optimum 0 iff c = 0, otherwise unbounded below. *)
     let status =
@@ -198,10 +241,9 @@ let solve_direct ~params ~c ~g ~h cone =
     let sparse =
       match params.kkt with
       | `Dense -> None
-      | `Sparse -> Some (make_sparse_kkt ~params ~gsp cone)
+      | `Sparse -> Some (make_sparse_kkt ~params ~g cone)
     in
-    let norm_h = Float.max 1.0 (Vec.nrm2 h)
-    and norm_c = Float.max 1.0 (Vec.nrm2 c) in
+    let d = data ~c ~g ~h in
     let e = Cone.identity cone in
     let x = ref (Vec.create n)
     and s = ref (Vec.copy e)
@@ -256,45 +298,9 @@ let solve_direct ~params ~c ~g ~h cone =
         Vec.scale (1.0 /. t) !s,
         Vec.scale (1.0 /. t) !z )
     in
-    let result status iterations =
-      let xt, st, zt = scaled () in
-      let pres =
-        Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec gsp xt) st) h) /. norm_h
-      in
-      let dres = Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec gsp zt) c) /. norm_c in
-      {
-        status;
-        x = xt;
-        s = st;
-        z = zt;
-        primal_objective = Vec.dot c xt;
-        dual_objective = -.Vec.dot h zt;
-        gap = Vec.dot st zt;
-        primal_residual = pres;
-        dual_residual = dres;
-        iterations;
-      }
-    in
+    let result status iterations = point d status iterations (scaled ()) in
     let result_certificate status iterations =
-      (* Report the raw homogeneous ray, normalised by the certificate
-         magnitude rather than by τ. *)
-      let denom =
-        match status with
-        | Primal_infeasible -> Float.max 1e-300 (-.Vec.dot h !z)
-        | _ -> Float.max 1e-300 (-.Vec.dot c !x)
-      in
-      {
-        status;
-        x = Vec.scale (1.0 /. denom) !x;
-        s = Vec.scale (1.0 /. denom) !s;
-        z = Vec.scale (1.0 /. denom) !z;
-        primal_objective = nan;
-        dual_objective = nan;
-        gap = nan;
-        primal_residual = nan;
-        dual_residual = nan;
-        iterations;
-      }
+      ray d status iterations (!x, !s, !z)
     in
     let rec iterate iter =
       (* Cooperative deadline: polled once per iteration, before the
@@ -329,7 +335,7 @@ let solve_direct ~params ~c ~g ~h cone =
         | None -> iterate_clean iter
     and iterate_clean iter =
       (* Homogeneous residuals. *)
-      let hx = Sparse_rows.mul_vec gsp !x in
+      let hx = Sparse_rows.mul_vec g !x in
       let res_z =
         (* G·x + s − h·τ *)
         let r = Vec.add hx !s in
@@ -338,7 +344,7 @@ let solve_direct ~params ~c ~g ~h cone =
       in
       let res_x =
         (* Gᵀ·z + c·τ *)
-        let r = Sparse_rows.mul_tvec gsp !z in
+        let r = Sparse_rows.mul_tvec g !z in
         Vec.axpy !tau c r;
         r
       in
@@ -347,10 +353,7 @@ let solve_direct ~params ~c ~g ~h cone =
       let mu = gap_h /. deg in
       (* Convergence checks on the τ-scaled iterate. *)
       let xt, st, zt = scaled () in
-      let pres =
-        Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec gsp xt) st) h) /. norm_h
-      in
-      let dres = Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec gsp zt) c) /. norm_c in
+      let pres, dres = residuals d ~x:xt ~s:st ~z:zt in
       let pcost = Vec.dot c xt and dcost = -.Vec.dot h zt in
       let gap = Vec.dot st zt in
       let relgap =
@@ -422,13 +425,13 @@ let solve_direct ~params ~c ~g ~h cone =
         let cert_threshold = params.feastol in
         let primal_cert =
           hz < 0.0
-          && Vec.nrm2 (Sparse_rows.mul_tvec gsp !z) /. (-.hz)
-             <= cert_threshold *. norm_c
+          && Vec.nrm2 (Sparse_rows.mul_tvec g !z) /. (-.hz)
+             <= cert_threshold *. d.norm_c
         in
         let dual_cert =
           cx < 0.0
-          && Vec.nrm2 (Vec.add (Sparse_rows.mul_vec gsp !x) !s) /. (-.cx)
-             <= cert_threshold *. norm_h
+          && Vec.nrm2 (Vec.add (Sparse_rows.mul_vec g !x) !s) /. (-.cx)
+             <= cert_threshold *. d.norm_h
         in
         if !kappa > 1e6 *. !tau && primal_cert then
           result_certificate Primal_infeasible iter
@@ -442,7 +445,7 @@ let solve_direct ~params ~c ~g ~h cone =
           match Cone.nt_scaling cone ~s:!s ~z:!z with
           | exception Invalid_argument _ -> finish_or Stalled
           | w -> begin
-            match make_kkt ~params ~sparse ~gsp w with
+            match make_kkt ~params ~sparse ~g w with
             | exception
                 (Cholesky.Not_positive_definite
                 | Linalg.Sparse.Not_positive_definite) ->
@@ -537,51 +540,21 @@ let solve_direct ~params ~c ~g ~h cone =
 (* Map a solution of the equilibrated problem back to the original
    data.  Optimal (and stalled/limit) points get their objectives and
    residuals recomputed on the original (c, G, h); infeasibility rays
-   are renormalised to the certificate magnitude, matching what
-   [result_certificate] reports on an unscaled solve. *)
+   are renormalised to the certificate magnitude, matching what an
+   unscaled solve reports. *)
 let unscale_solution sc ~c ~g ~h sol =
-  let x, s, z = Presolve.unscale_point sc ~x:sol.x ~s:sol.s ~z:sol.z in
-  match sol.status with
-  | Primal_infeasible ->
-    let denom = Float.max 1e-300 (-.Vec.dot h z) in
-    {
-      sol with
-      x = Vec.scale (1.0 /. denom) x;
-      s = Vec.scale (1.0 /. denom) s;
-      z = Vec.scale (1.0 /. denom) z;
-    }
-  | Dual_infeasible ->
-    let denom = Float.max 1e-300 (-.Vec.dot c x) in
-    {
-      sol with
-      x = Vec.scale (1.0 /. denom) x;
-      s = Vec.scale (1.0 /. denom) s;
-      z = Vec.scale (1.0 /. denom) z;
-    }
-  | Optimal | Iteration_limit | Stalled | Timed_out ->
-    let gsp = Sparse_rows.of_mat g in
-    let norm_h = Float.max 1.0 (Vec.nrm2 h)
-    and norm_c = Float.max 1.0 (Vec.nrm2 c) in
-    let pres =
-      Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec gsp x) s) h) /. norm_h
-    in
-    let dres = Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec gsp z) c) /. norm_c in
-    {
-      status = sol.status;
-      x;
-      s;
-      z;
-      primal_objective = Vec.dot c x;
-      dual_objective = -.Vec.dot h z;
-      gap = Vec.dot s z;
-      primal_residual = pres;
-      dual_residual = dres;
-      iterations = sol.iterations;
-    }
+  let d = data ~c ~g ~h in
+  let point_or_ray =
+    match sol.status with
+    | Primal_infeasible | Dual_infeasible -> ray
+    | Optimal | Iteration_limit | Stalled | Timed_out -> point
+  in
+  point_or_ray d sol.status sol.iterations
+    (Presolve.unscale_point sc ~x:sol.x ~s:sol.s ~z:sol.z)
 
 let solve ?(params = default_params) ~c ~g ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
-  if Mat.rows g <> m || Mat.cols g <> n then
+  if Sparse_rows.rows g <> m || Sparse_rows.cols g <> n then
     invalid_arg "Socp.solve: G dimensions do not match c and h";
   if Cone.dim cone <> m then invalid_arg "Socp.solve: cone dimension";
   (match params.obs with
@@ -612,24 +585,13 @@ let solve ?(params = default_params) ~c ~g ~h cone =
       | Some o ->
         Obs.Ctx.emit o (Obs.Trace.Presolve { range_before; range_after }));
       (* A warm point lives in the original coordinates; map it forward
-         through the equilibration (the inverse of
-         [Presolve.unscale_point]) so it seeds the scaled solve. *)
+         through the equilibration so it seeds the scaled solve. *)
       let params =
         match params.warm with
         | Some { wx; ws; wz }
           when Vec.dim wx = n && Vec.dim ws = m && Vec.dim wz = m ->
-          let warm =
-            Some
-              {
-                wx = Array.mapi (fun i v -> v /. sc.Presolve.col.(i)) wx;
-                ws = Array.mapi (fun i v -> v *. sc.Presolve.row.(i)) ws;
-                wz =
-                  Array.mapi
-                    (fun i v -> v *. sc.Presolve.obj /. sc.Presolve.row.(i))
-                    wz;
-              }
-          in
-          { params with warm }
+          let wx, ws, wz = Presolve.scale_point sc ~x:wx ~s:ws ~z:wz in
+          { params with warm = Some { wx; ws; wz } }
         | Some _ | None -> params
       in
       let sol = solve_direct ~params ~c:c' ~g:g' ~h:h' cone in

@@ -104,13 +104,16 @@ type params = {
 
 val default_params : params
 
-(** [solve ?params ~c ~g ~h cone] solves the cone program.
+(** [solve ?params ~c ~g ~h cone] solves the cone program.  [G] is
+    given as sparse rows — the only form it takes on the way to the KKT
+    solve: presolve scales its stored entries and the normal equations
+    are assembled from them, so no [m × n] dense matrix is formed.
     @raise Invalid_argument on dimension mismatch between [c], [g], [h]
     and [cone]. *)
 val solve :
   ?params:params ->
   c:Linalg.Vec.t ->
-  g:Linalg.Mat.t ->
+  g:Sparse_rows.t ->
   h:Linalg.Vec.t ->
   Cone.t ->
   solution

@@ -101,10 +101,6 @@ let gram t =
   done;
   gram
 
-let scaled_gram t ~blocks ~scale_block =
-  let b = scale_rows t ~blocks ~scale_block in
-  (gram b, b)
-
 (* The structural pattern of GᵀW⁻²G is invariant across interior-point
    iterations: the NT scaling acts row-wise inside the orthant and
    mixes rows only within one second-order block.  So the pattern of a

@@ -1,15 +1,20 @@
-(** Sparse row-wise matrix view used by the interior-point KKT
-    assembly.
+(** Sparse row-wise matrices: the one representation of the
+    constraint matrix [G] from {!Model} assembly through {!Presolve}
+    to the interior-point KKT solve.
 
     The constraint matrices of Algorithm 1 have a handful of nonzeros
     per row (a start-time difference, a budget or token coefficient),
     so forming the normal-equation matrix [GᵀW⁻²G] row by row costs
     [O(Σ nnz(row)²)] instead of the dense [O(n²·m)] — the difference
-    between milliseconds and seconds beyond a few dozen tasks. *)
+    between milliseconds and seconds beyond a few dozen tasks — and
+    storing [G] costs [O(nnz)] instead of [O(m·n)]. *)
 
 type t
 
-(** [of_mat a] extracts the sparse rows of a dense matrix. *)
+(** [of_mat a] extracts the sparse rows (the nonzero entries) of a
+    dense matrix.  No solver path uses it — {!Model} builds its rows
+    with {!of_rows} — it is the bridge that lets tests compare sparse
+    operations against a dense reference. *)
 val of_mat : Linalg.Mat.t -> t
 
 (** [of_rows ~cols rows] builds a matrix from per-row
@@ -54,14 +59,6 @@ val scale_rows :
 (** [gram t] is the dense symmetric Gram matrix [tᵀ·t], accumulated
     row by row in [O(Σ nnz(row)²)]. *)
 val gram : t -> Linalg.Mat.t
-
-(** [scaled_gram t ~blocks ~scale_block] is
-    [(gram (scale_rows t …), scale_rows t …)]. *)
-val scaled_gram :
-  t ->
-  blocks:(int * int) list ->
-  scale_block:(int -> (int * float) list array -> (int * float) list array) ->
-  Linalg.Mat.t * t
 
 (** [gram_pattern t ~soc] is the structural pattern of the scaled Gram
     matrix as a sparse symmetric matrix of zeros: [soc] lists the

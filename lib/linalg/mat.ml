@@ -42,7 +42,6 @@ let set a i j x =
   a.data.((i * a.n) + j) <- x
 
 let update a i j f = set a i j (f (get a i j))
-let copy a = { a with data = Array.copy a.data }
 let row a i = Array.init a.n (fun j -> get a i j)
 let col a j = Array.init a.m (fun i -> get a i j)
 let transpose a = init a.n a.m (fun i j -> get a j i)

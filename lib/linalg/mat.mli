@@ -38,9 +38,6 @@ val set : t -> int -> int -> float -> unit
 (** [update a i j f] replaces entry [(i, j)] by [f] of itself. *)
 val update : t -> int -> int -> (float -> float) -> unit
 
-(** [copy a] is a deep copy. *)
-val copy : t -> t
-
 (** [row a i] is a fresh copy of row [i]. *)
 val row : t -> int -> Vec.t
 

@@ -6,8 +6,13 @@ module Mat = Linalg.Mat
 module Cone = Conic.Cone
 module Socp = Conic.Socp
 module Model = Conic.Model
+module Sparse_rows = Conic.Sparse_rows
 
 let check_float eps = Alcotest.(check (float eps))
+
+(* Constraint matrices are written densely and handed to the solver
+   as sparse rows. *)
+let sparse_g rows = Sparse_rows.of_mat (Mat.of_rows rows)
 
 (* ------------------------------------------------------------------ *)
 (* Cone algebra                                                       *)
@@ -114,7 +119,7 @@ let test_nt_scaling_interior_required () =
 
 (* min x  s.t. ‖(3, 4)‖ ≤ x  → x* = 5.  Cone rows: s = (x, 3, 4). *)
 let test_socp_norm_bound () =
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = sparse_g [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in
   Alcotest.(check bool) "optimal" true (sol.Socp.status = Socp.Optimal);
@@ -122,7 +127,7 @@ let test_socp_norm_bound () =
 
 (* min x + y s.t. x ≥ 1, y ≥ 2 → 3, plain LP through the IPM. *)
 let test_socp_as_lp () =
-  let g = Mat.of_rows [ [| -1.0; 0.0 |]; [| 0.0; -1.0 |] ] in
+  let g = sparse_g [ [| -1.0; 0.0 |]; [| 0.0; -1.0 |] ] in
   let h = [| -1.0; -2.0 |] in
   let sol =
     Socp.solve ~c:[| 1.0; 1.0 |] ~g ~h (Cone.make [ Cone.Nonneg 2 ])
@@ -133,7 +138,7 @@ let test_socp_as_lp () =
 
 let test_socp_duality () =
   (* At optimality primal and dual objectives coincide. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = sparse_g [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in
   check_float 1e-5 "strong duality" sol.Socp.primal_objective
@@ -141,7 +146,7 @@ let test_socp_duality () =
 
 let test_socp_infeasible () =
   (* x ≤ 1 ∧ x ≥ 2 is primal infeasible. *)
-  let g = Mat.of_rows [ [| 1.0 |]; [| -1.0 |] ] in
+  let g = sparse_g [ [| 1.0 |]; [| -1.0 |] ] in
   let h = [| 1.0; -2.0 |] in
   let sol = Socp.solve ~c:[| 0.0 |] ~g ~h (Cone.make [ Cone.Nonneg 2 ]) in
   Alcotest.(check bool) "primal infeasible" true
@@ -150,7 +155,7 @@ let test_socp_infeasible () =
 let test_socp_unbounded () =
   (* min x s.t. −x ≤ 0 (x ≥ 0 missing: s = x... take min x, x ≤ 5:
      unbounded below). *)
-  let g = Mat.of_rows [ [| 1.0 |] ] in
+  let g = sparse_g [ [| 1.0 |] ] in
   let h = [| 5.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Nonneg 1 ]) in
   Alcotest.(check bool) "dual infeasible (unbounded)" true
@@ -349,8 +354,6 @@ let prop_socp_kkt =
 (* Sparse row assembly                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Sparse_rows = Conic.Sparse_rows
-
 let gen_sparse_mat =
   (* Random 6x4 matrices with ~70% zero entries. *)
   QCheck2.Gen.(
@@ -391,10 +394,11 @@ let prop_sparse_scaled_gram_matches_dense =
       let s = fix s_raw and z = fix z_raw in
       let w = Cone.nt_scaling k ~s ~z in
       let sp = Sparse_rows.of_mat a in
-      let gram_sparse, scaled =
-        Sparse_rows.scaled_gram sp ~blocks:(Cone.block_layout w)
+      let scaled =
+        Sparse_rows.scale_rows sp ~blocks:(Cone.block_layout w)
           ~scale_block:(Cone.apply_inv_rows w)
       in
+      let gram_sparse = Sparse_rows.gram scaled in
       (* Dense reference: apply W⁻¹ to each column of A. *)
       let dense_scaled =
         Mat.init 6 4 (fun i j ->
@@ -440,7 +444,7 @@ let test_model_fix_infeasible () =
 let test_socp_iteration_limit_status () =
   (* A one-iteration budget cannot converge; the solver must report it
      rather than claim optimality. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = sparse_g [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let params = { Socp.default_params with Socp.max_iter = 1 } in
   let sol = Socp.solve ~params ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in

@@ -8,6 +8,7 @@ module Mat = Linalg.Mat
 module Cone = Conic.Cone
 module Socp = Conic.Socp
 module Presolve = Conic.Presolve
+module Sparse_rows = Conic.Sparse_rows
 module Fault = Robust.Fault
 module Recovery = Robust.Recovery
 module Config = Taskgraph.Config
@@ -15,6 +16,10 @@ module Mapping = Budgetbuf.Mapping
 module Pool = Parallel.Pool
 
 let check_float eps = Alcotest.(check (float eps))
+
+(* Constraint matrices are written densely and handed to the solver
+   as sparse rows. *)
+let sparse_g rows = Sparse_rows.of_mat (Mat.of_rows rows)
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                         *)
@@ -95,7 +100,7 @@ let test_fault_candidate_and_coverage () =
    change the feasible set, so the optimum is unchanged; the 1e7
    dynamic range trips both the auto-detector and the equilibrator. *)
 let test_equilibrate_lp_exact () =
-  let g = Mat.of_rows [ [| -1e4; 0.0 |]; [| 0.0; -1e-3 |] ] in
+  let g = sparse_g [ [| -1e4; 0.0 |]; [| 0.0; -1e-3 |] ] in
   let h = [| -1e4; -2e-3 |] in
   let c = [| 1.0; 1.0 |] in
   let cone = Cone.make [ Cone.Nonneg 2 ] in
@@ -112,7 +117,7 @@ let test_equilibrate_soc_block_uniform () =
   (* min x s.t. ‖(3, 4)‖ ≤ x with the three cone rows scaled by wildly
      different factors: block-uniform row scaling must keep the SOC
      membership intact and still find x* = 5. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = sparse_g [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sc, c', g', h' =
     Presolve.equilibrate ~c:[| 1e6 |] ~g ~h (Cone.make [ Cone.Soc 3 ])
@@ -129,9 +134,9 @@ let test_equilibrate_soc_block_uniform () =
 
 let test_dynamic_range () =
   Alcotest.(check bool) "well-scaled" false
-    (Presolve.badly_scaled (Mat.of_rows [ [| 1.0; -2.0 |]; [| 0.5; 4.0 |] ]));
+    (Presolve.badly_scaled (sparse_g [ [| 1.0; -2.0 |]; [| 0.5; 4.0 |] ]));
   check_float 0.0 "zero matrix range" 1.0
-    (Presolve.dynamic_range (Mat.create 2 2))
+    (Presolve.dynamic_range (Sparse_rows.of_mat (Mat.create 2 2)))
 
 (* Random strictly-feasible LPs: h = G·x₀ + 1 (primal interior),
    c = −Gᵀ·z₀ with z₀ > 0 (dual interior), so the optimum exists and
@@ -161,7 +166,7 @@ let prop_equilibration_preserves_optimum =
                 (Array.init m (fun i -> Mat.get g i j *. z0.(i))))
       in
       let cone = Cone.make [ Cone.Nonneg m ] in
-      let reference = Socp.solve ~c ~g ~h cone in
+      let reference = Socp.solve ~c ~g:(Sparse_rows.of_mat g) ~h cone in
       QCheck2.assume (reference.Socp.status = Socp.Optimal);
       let dr = Array.map (fun e -> 10.0 ** e) row_exp in
       let dc = Array.map (fun e -> 10.0 ** e) col_exp in
@@ -171,7 +176,9 @@ let prop_equilibration_preserves_optimum =
       let params =
         { Socp.default_params with Socp.presolve = Socp.Presolve_force }
       in
-      let sol = Socp.solve ~params ~c:c2 ~g:g2 ~h:h2 cone in
+      let sol =
+        Socp.solve ~params ~c:c2 ~g:(Sparse_rows.of_mat g2) ~h:h2 cone
+      in
       if sol.Socp.status <> Socp.Optimal then
         QCheck2.Test.fail_reportf "scaled solve not optimal: %a"
           Socp.pp_status sol.Socp.status;
@@ -181,6 +188,154 @@ let prop_equilibration_preserves_optimum =
         QCheck2.Test.fail_reportf "optimum drifted: %.9f vs %.9f" ref_obj
           sol.Socp.primal_objective;
       true)
+
+(* Dense Ruiz reference: ten rounds over every entry of a dense copy,
+   the rows of each SOC block [(offset, length)] sharing their largest
+   norm.  Returns the scaling, ĉ, ĥ and the scaled dense matrix. *)
+let dense_ruiz ~c ~g ~h ~soc =
+  let m = Array.length g and n = Array.length c in
+  let a = Array.map Array.copy g in
+  let row = Array.make m 1.0 and col = Array.make n 1.0 in
+  let rnorm = Array.make m 0.0 and cnorm = Array.make n 0.0 in
+  for _ = 1 to 10 do
+    Array.fill rnorm 0 m 0.0;
+    Array.fill cnorm 0 n 0.0;
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let v = Float.abs a.(i).(j) in
+        if v > rnorm.(i) then rnorm.(i) <- v;
+        if v > cnorm.(j) then cnorm.(j) <- v
+      done
+    done;
+    List.iter
+      (fun (off, len) ->
+        let mx = Array.fold_left Float.max 0.0 (Array.sub rnorm off len) in
+        Array.fill rnorm off len mx)
+      soc;
+    let d i = if rnorm.(i) > 0.0 then 1.0 /. sqrt rnorm.(i) else 1.0 in
+    let e j = if cnorm.(j) > 0.0 then 1.0 /. sqrt cnorm.(j) else 1.0 in
+    for i = 0 to m - 1 do
+      let di = d i in
+      row.(i) <- row.(i) *. di;
+      for j = 0 to n - 1 do
+        a.(i).(j) <- a.(i).(j) *. di *. e j
+      done
+    done;
+    for j = 0 to n - 1 do
+      col.(j) <- col.(j) *. e j
+    done
+  done;
+  let mx = ref 0.0 in
+  for j = 0 to n - 1 do
+    mx := Float.max !mx (Float.abs (col.(j) *. c.(j)))
+  done;
+  let obj = if !mx > 0.0 then 1.0 /. !mx else 1.0 in
+  let c' = Array.init n (fun j -> obj *. col.(j) *. c.(j)) in
+  let h' = Array.init m (fun i -> row.(i) *. h.(i)) in
+  (row, col, obj, c', h', a)
+
+(* The sparse Ruiz iteration must reproduce the dense one bit for bit:
+   the solver's outputs stay unchanged only if scaling the stored
+   entries alone performs the same float operations in the same order.
+   Inputs mix zeros with magnitudes 1e±6 over a random orthant/SOC
+   partition of the rows. *)
+let prop_sparse_ruiz_matches_dense =
+  let gen =
+    QCheck2.Gen.(
+      let magnitude =
+        let* zero = bool in
+        if zero then return 0.0
+        else
+          let* mant = float_range (-9.99) 9.99 in
+          let* e = int_range (-6) 6 in
+          return (mant *. (10.0 ** float_of_int e))
+      in
+      let* m = int_range 1 8 in
+      let* n = int_range 1 6 in
+      let* entries = array_size (return m) (array_size (return n) magnitude) in
+      let* c = array_size (return n) magnitude in
+      let* h = array_size (return m) magnitude in
+      (* A block starts at row 0 and wherever [cuts] says so; [socs]
+         picks the kind at each block start. *)
+      let* cuts = array_size (return m) bool in
+      let* socs = array_size (return m) bool in
+      return (entries, c, h, cuts, socs))
+  in
+  let bits = Int64.bits_of_float in
+  let same_bits u v =
+    Array.length u = Array.length v
+    && Array.for_all2 (fun a b -> Int64.equal (bits a) (bits b)) u v
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"sparse Ruiz matches the dense reference bit for bit" gen
+    (fun (entries, c, h, cuts, socs) ->
+      let m = Array.length entries in
+      let starts =
+        List.filter (fun i -> i = 0 || cuts.(i)) (List.init m Fun.id)
+      in
+      let blocks =
+        List.mapi
+          (fun k lo ->
+            let hi =
+              match List.nth_opt starts (k + 1) with Some s -> s | None -> m
+            in
+            (lo, hi - lo, socs.(lo)))
+          starts
+      in
+      let cone =
+        Cone.make
+          (List.map
+             (fun (_, len, soc) -> if soc then Cone.Soc len else Cone.Nonneg len)
+             blocks)
+      in
+      let soc =
+        List.filter_map
+          (fun (lo, len, soc) -> if soc then Some (lo, len) else None)
+          blocks
+      in
+      let g = Sparse_rows.of_mat (Mat.of_arrays entries) in
+      let sc, c', g', h' = Presolve.equilibrate ~c ~g ~h cone in
+      let row, col, obj, dc', dh', da = dense_ruiz ~c ~g:entries ~h ~soc in
+      let stored i =
+        List.filter_map
+          (fun (j, v) -> if v <> 0.0 then Some (j, v) else None)
+          (List.mapi (fun j v -> (j, v)) (Array.to_list da.(i)))
+      in
+      let rows_match =
+        Sparse_rows.rows g' = m
+        && Sparse_rows.cols g' = Array.length c
+        && List.for_all
+             (fun i ->
+               let sparse = Sparse_rows.row g' i and dense = stored i in
+               List.map fst sparse = List.map fst dense
+               && same_bits
+                    (Array.of_list (List.map snd sparse))
+                    (Array.of_list (List.map snd dense)))
+             (List.init m Fun.id)
+      in
+      same_bits sc.Presolve.row row
+      && same_bits sc.Presolve.col col
+      && same_bits [| sc.Presolve.obj |] [| obj |]
+      && same_bits c' dc' && same_bits h' dh' && rows_match)
+
+(* The warm-start map into the scaled problem is the inverse of the
+   map back out. *)
+let test_scale_point_roundtrip () =
+  let g = sparse_g [ [| -1e4; 0.0 |]; [| 0.0; -1e-3 |]; [| 3.0; 7e2 |] ] in
+  let sc, _, _, _ =
+    Presolve.equilibrate ~c:[| 1.0; 2e5 |] ~g ~h:[| 1.0; 2.0; 3.0 |]
+      (Cone.make [ Cone.Nonneg 1; Cone.Soc 2 ])
+  in
+  let x = [| 1.5; -2.0 |] and s = [| 3.0; 2.0; 1.0 |]
+  and z = [| 0.25; 4.0; -1.0 |] in
+  let x', s', z' =
+    let x, s, z = Presolve.scale_point sc ~x ~s ~z in
+    Presolve.unscale_point sc ~x ~s ~z
+  in
+  let close u v = Vec.equal ~eps:1e-12 u v in
+  Alcotest.(check bool) "x" true (close x x');
+  Alcotest.(check bool) "s" true (close s s');
+  Alcotest.(check bool) "z" true (close z z')
 
 (* The full pipeline keeps its answer under forced equilibration (SOC
    blocks included, on the paper's own instance). *)
@@ -484,6 +639,9 @@ let () =
             test_equilibrate_soc_block_uniform;
           Alcotest.test_case "dynamic range" `Quick test_dynamic_range;
           qcheck prop_equilibration_preserves_optimum;
+          qcheck prop_sparse_ruiz_matches_dense;
+          Alcotest.test_case "scale_point inverts unscale_point" `Quick
+            test_scale_point_roundtrip;
           Alcotest.test_case "forced presolve matches default" `Quick
             test_presolve_force_matches_default;
         ] );
