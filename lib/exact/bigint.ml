@@ -199,20 +199,6 @@ let shift_left t k =
   else if t.sign = 0 || k = 0 then t
   else { t with mag = shift_left_mag t.mag k }
 
-let shift_right_one_mag m =
-  let l = Array.length m in
-  if l = 0 then m
-  else begin
-    let r = Array.make l 0 in
-    for i = 0 to l - 1 do
-      let v = m.(i) lsr 1 in
-      r.(i) <-
-        (if i + 1 < l && m.(i + 1) land 1 = 1 then v lor (1 lsl (base_bits - 1))
-         else v)
-    done;
-    norm_mag r
-  end
-
 (* Bit-by-bit long division of magnitudes; quadratic but our operands
    are a handful of limbs. *)
 let divmod_mag a b =
@@ -261,9 +247,18 @@ let trailing_zeros_mag m =
   done;
   (i * base_bits) + !k
 
+(* One pass: whole limbs by indexing, the remaining [b] bits by pulling
+   the low bits of the next limb into each limb's top. *)
 let shift_right_mag m k =
-  let rec go m k = if k = 0 then m else go (shift_right_one_mag m) (k - 1) in
-  go m k
+  let w = k / base_bits and b = k mod base_bits in
+  let l = Array.length m - w in
+  if l <= 0 then [||]
+  else if b = 0 then Array.sub m w l
+  else
+    norm_mag
+      (Array.init l (fun i ->
+           let hi = if i + w + 1 < Array.length m then m.(i + w + 1) else 0 in
+           (m.(i + w) lsr b) lor ((hi lsl (base_bits - b)) land mask)))
 
 (* Binary gcd on magnitudes: shifts and subtractions only. *)
 let gcd_mag a b =

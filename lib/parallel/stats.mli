@@ -3,8 +3,7 @@
     Counters are maintained under the pool lock (except the per-domain
     busy times, each of which is written by exactly one domain), so
     reading them costs nothing on the solve path.  They exist so that
-    speedups can be measured rather than asserted: the bench harness
-    prints them next to every wall-clock figure. *)
+    speedups can be measured rather than asserted. *)
 
 type t = {
   domains : int;  (** total lanes: the submitting domain plus workers *)
@@ -15,6 +14,3 @@ type t = {
           indices 1.. are the spawned workers *)
 }
 
-(** [pp ppf s] prints the counters on one line, e.g.
-    ["4 domains, 40 tasks, queue high-water 10, busy 1.20/1.18/1.22/1.19 s"]. *)
-val pp : Format.formatter -> t -> unit

@@ -119,6 +119,25 @@ let test_rat_of_float_exact () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The binary gcd strips trailing zero bits with a multi-limb right
+   shift; Euclid's algorithm over [rem] is an independent oracle.  The
+   shifts give both operands long runs of trailing zeros, shared or
+   not, the way dyadic rationals from floats have them. *)
+let test_bigint_gcd_qcheck () =
+  let big =
+    QCheck.map
+      (fun (x, y, k) -> B.add (B.shift_left (B.of_int64 x) k) (B.of_int64 y))
+      QCheck.(triple int64 int64 (int_range 0 150))
+  in
+  QCheck.Test.make ~count:500 ~name:"gcd matches Euclid on multi-limb values"
+    QCheck.(quad big big (int_range 0 100) (int_range 0 100))
+    (fun (a, b, i, j) ->
+      let a = B.shift_left a i and b = B.shift_left b j in
+      let rec euclid a b =
+        if B.is_zero b then B.abs a else euclid b (B.rem a b)
+      in
+      B.equal (B.gcd a b) (euclid a b))
+
 let test_rat_of_float_roundtrip_qcheck () =
   QCheck.Test.make ~count:500 ~name:"of_float/to_float round-trip"
     QCheck.(float_range (-1e15) 1e15)
@@ -374,6 +393,7 @@ let () =
           Alcotest.test_case "divmod" `Quick test_bigint_divmod;
           Alcotest.test_case "gcd lcm" `Quick test_bigint_gcd_lcm;
           Alcotest.test_case "big decimal" `Quick test_bigint_string_big;
+          QCheck_alcotest.to_alcotest (test_bigint_gcd_qcheck ());
         ] );
       ( "rat",
         [

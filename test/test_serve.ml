@@ -1679,6 +1679,88 @@ let test_server_isolated_kill9_recovery () =
   rm cache;
   rm quarantine
 
+(* The crash storm: 24 admits against a server whose solves run in two
+   isolated workers, every third admit carrying a process fault whose
+   kind [det_int] picks — crash (SIGKILL mid-solve), hang (reaped past
+   its 0.6 s deadline plus grace) or oom (dies against the 512 MB
+   rlimit box; its "Out of memory" stderr line is expected).  Spacing
+   the faults keeps the storm under the circuit breaker's threshold,
+   so it tests containment, not lockout.  Returns the fault kinds, the
+   reply log and the final counters. *)
+let run_crash_storm () =
+  let requests = 24 and seed = 2026 in
+  let sock = tmp_path "storm.sock" and quarantine = tmp_path "storm.quarj" in
+  rm quarantine;
+  let th, res =
+    start_server
+      {
+        (Server.default_config ~socket_path:sock) with
+        Server.isolate = Some 2;
+        worker_exe = Some cli_exe;
+        rlimit_mem_mb = Some 512;
+        quarantine_path = Some quarantine;
+      }
+  in
+  let kinds =
+    List.init requests (fun i ->
+        if i mod 3 <> 2 then "good"
+        else
+          match
+            Robust.Fault.det_int ~seed ~salt:"bench-crash-kind" ~bound:3 i
+          with
+          | 0 -> "crash"
+          | 1 -> "hang"
+          | _ -> "oom")
+  in
+  let log =
+    match
+      Client.with_connection sock (fun c ->
+          let log =
+            List.mapi
+              (fun i kind ->
+                let id = Printf.sprintf "s%02d" i in
+                let fault = if kind = "good" then None else Some kind in
+                let deadline_s = if kind = "hang" then 0.6 else 30.0 in
+                let reply =
+                  admit c ~id ~deadline_s ?fault (t1_with_cap (10 + i))
+                in
+                (match reply with
+                | Protocol.Admitted _ -> (
+                  match Client.roundtrip c (Protocol.Release { id }) with
+                  | Ok (Protocol.Released _) -> ()
+                  | _ -> Alcotest.failf "release %s" id)
+                | _ -> ());
+                Printf.sprintf "%02d:%s:%s" i kind
+                  (Protocol.status_of_response reply))
+              kinds
+          in
+          shutdown c;
+          Ok log)
+    with
+    | Ok log -> log
+    | Error e -> Alcotest.failf "storm client: %s" e
+  in
+  Thread.join th;
+  rm quarantine;
+  match !res with
+  | Ok (Server.Shutdown_request, s) -> (kinds, log, s)
+  | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
+  | Error e -> Alcotest.failf "storm server: %s" e
+
+let test_server_crash_storm () =
+  let kinds, log1, stats = run_crash_storm () in
+  let _, log2, _ = run_crash_storm () in
+  let count k = List.length (List.filter (String.equal k) kinds) in
+  check_int "every request answered" 24 (List.length log1);
+  check_int "no leaked admissions" 0 stats.Protocol.live;
+  check_int "one worker crash per crash, hang and oom fault"
+    (count "crash" + count "hang" + count "oom")
+    stats.Protocol.worker_crashes;
+  check_int "each hang reaped as timed out" (count "hang")
+    stats.Protocol.timed_out;
+  check_bool "same seed, identical storm logs" true
+    (List.equal String.equal log1 log2)
+
 (* ------------------------------------------------------------------ *)
 
 (* Client-side writes can race a halting server that has restored the
@@ -1774,5 +1856,7 @@ let () =
             test_server_isolated_crash_poison;
           Alcotest.test_case "kill -9 recovery of cache and quarantine" `Quick
             test_server_isolated_kill9_recovery;
+          Alcotest.test_case "storm, twice, deterministically" `Quick
+            test_server_crash_storm;
         ] );
     ]
