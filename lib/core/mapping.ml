@@ -151,28 +151,31 @@ let clamp_capacity cfg b c =
 let finish_optimal cfg ~policy ~obs builder result trace stats =
   let continuous = Socp_builder.extract cfg builder result in
   let granularity = Config.granularity cfg in
+  let certify m =
+    Obs.Ctx.with_span obs "certify" (fun () -> Certify.check cfg m)
+  in
   let mapped_with eps =
     let budgets =
-      List.map
-        (fun w ->
-          ( Config.task_id w,
-            Rounding.round_budget_eps ~eps ~granularity
-              (continuous.Socp_builder.budget w) ))
-        (Config.all_tasks cfg)
+      Array.of_list
+        (List.map
+           (fun w ->
+             Rounding.round_budget_eps ~eps ~granularity
+               (continuous.Socp_builder.budget w))
+           (Config.all_tasks cfg))
     in
     let capacities =
-      List.map
-        (fun b ->
-          ( Config.buffer_id b,
-            clamp_capacity cfg b
-              (Rounding.round_capacity_eps ~eps
-                 ~initial_tokens:(Config.initial_tokens cfg b)
-                 (continuous.Socp_builder.space b)) ))
-        (Config.all_buffers cfg)
+      Array.of_list
+        (List.map
+           (fun b ->
+             clamp_capacity cfg b
+               (Rounding.round_capacity_eps ~eps
+                  ~initial_tokens:(Config.initial_tokens cfg b)
+                  (continuous.Socp_builder.space b)))
+           (Config.all_buffers cfg))
     in
     {
-      Config.budget = (fun w -> List.assoc (Config.task_id w) budgets);
-      Config.capacity = (fun b -> List.assoc (Config.buffer_id b) capacities);
+      Config.budget = (fun w -> budgets.(Config.task_id w));
+      Config.capacity = (fun b -> capacities.(Config.buffer_id b));
     }
   in
   match
@@ -181,11 +184,11 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
        point), fall back to the strictly conservative rounding. *)
     let mapped, certificate =
       let snapped = mapped_with Rounding.round_eps in
-      let c = Certify.check cfg snapped in
+      let c = certify snapped in
       if Certify.certified c then (snapped, c)
       else
         let strict = mapped_with 0.0 in
-        (strict, Certify.check cfg strict)
+        (strict, certify strict)
     in
     if Fault.corrupts_rounding policy.Recovery.fault then begin
       (match obs with
@@ -194,7 +197,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         Obs.Ctx.emit o
           (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
       let bad = corrupt_rounding cfg mapped in
-      (bad, Certify.check cfg bad)
+      (bad, certify bad)
     end
     else (mapped, certificate)
   with
@@ -206,7 +209,9 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
             value))
   | mapped, certificate ->
     Certify.trace obs certificate;
-    let sim_check, sim_failure = sim_check cfg mapped in
+    let sim_check, sim_failure =
+      Obs.Ctx.with_span obs "sim_check" (fun () -> sim_check cfg mapped)
+    in
     let uncertifiable msg =
       Error
         (Solver_failure

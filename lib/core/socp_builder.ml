@@ -11,32 +11,32 @@ type t = {
 
 let build cfg =
   let m = Model.create () in
-  let budget = Hashtbl.create 16
-  and lambda = Hashtbl.create 16
-  and space = Hashtbl.create 16
-  and start1 = Hashtbl.create 16
-  and start2 = Hashtbl.create 16 in
   let g = Config.granularity cfg in
-  (* Variables. *)
-  List.iter
-    (fun w ->
-      let n = Config.task_name cfg w in
-      let id = Config.task_id w in
-      Hashtbl.replace budget id (Model.variable m ("beta'." ^ n));
-      Hashtbl.replace lambda id (Model.variable m ("lambda." ^ n));
-      Hashtbl.replace start1 id (Model.variable m ("s." ^ n ^ ".1"));
-      Hashtbl.replace start2 id (Model.variable m ("s." ^ n ^ ".2")))
-    (Config.all_tasks cfg);
-  List.iter
-    (fun b ->
-      Hashtbl.replace space (Config.buffer_id b)
-        (Model.variable m ("delta'." ^ Config.buffer_name cfg b)))
-    (Config.all_buffers cfg);
-  let bvar w = Hashtbl.find budget (Config.task_id w) in
-  let lvar w = Hashtbl.find lambda (Config.task_id w) in
-  let dvar b = Hashtbl.find space (Config.buffer_id b) in
-  let svar1 w = Hashtbl.find start1 (Config.task_id w) in
-  let svar2 w = Hashtbl.find start2 (Config.task_id w) in
+  (* Variables: four per task, then one per buffer, each in an array
+     indexed by the entity's dense id. *)
+  let task_vars =
+    Array.of_list
+      (List.map
+         (fun w ->
+           let n = Config.task_name cfg w in
+           let budget = Model.variable m ("beta'." ^ n) in
+           let lambda = Model.variable m ("lambda." ^ n) in
+           let start1 = Model.variable m ("s." ^ n ^ ".1") in
+           let start2 = Model.variable m ("s." ^ n ^ ".2") in
+           (budget, lambda, start1, start2))
+         (Config.all_tasks cfg))
+  in
+  let space =
+    Array.of_list
+      (List.map
+         (fun b -> Model.variable m ("delta'." ^ Config.buffer_name cfg b))
+         (Config.all_buffers cfg))
+  in
+  let bvar w = let v, _, _, _ = task_vars.(Config.task_id w) in v in
+  let lvar w = let _, v, _, _ = task_vars.(Config.task_id w) in v in
+  let dvar b = space.(Config.buffer_id b) in
+  let svar1 w = let _, _, v, _ = task_vars.(Config.task_id w) in v in
+  let svar2 w = let _, _, _, v = task_vars.(Config.task_id w) in v in
   (* Firing duration of the processing actor v2 of task w, as the affine
      expression ̺·χ·λ(w) (Constraint (7)'s left-hand side). *)
   let rho2 w =

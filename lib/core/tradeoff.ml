@@ -74,25 +74,27 @@ let decode_result cfg ~candidate ib =
   if D.scan_int ib <> List.length tasks then
     raise (Scanf.Scan_failure "task count mismatch");
   let per_task =
-    List.map
-      (fun w ->
-        let budget = D.scan_float ib in
-        let lambda = D.scan_float ib in
-        let mapped = D.scan_float ib in
-        (Config.task_id w, (budget, lambda, mapped)))
-      tasks
+    Array.of_list
+      (List.map
+         (fun _ ->
+           let budget = D.scan_float ib in
+           let lambda = D.scan_float ib in
+           let mapped = D.scan_float ib in
+           (budget, lambda, mapped))
+         tasks)
   in
   D.expect_token ib "b";
   if D.scan_int ib <> List.length buffers then
     raise (Scanf.Scan_failure "buffer count mismatch");
   let per_buffer =
-    List.map
-      (fun b ->
-        let space = D.scan_float ib in
-        let capacity = D.scan_float ib in
-        let mapped = D.scan_int ib in
-        (Config.buffer_id b, (space, capacity, mapped)))
-      buffers
+    Array.of_list
+      (List.map
+         (fun _ ->
+           let space = D.scan_float ib in
+           let capacity = D.scan_float ib in
+           let mapped = D.scan_int ib in
+           (space, capacity, mapped))
+         buffers)
   in
   let scan_notes tag =
     D.expect_token ib tag;
@@ -107,8 +109,8 @@ let decode_result cfg ~candidate ib =
       (scan_notes "v")
   in
   let sim_check = scan_notes "s" in
-  let task_field pick w = pick (List.assoc (Config.task_id w) per_task) in
-  let buffer_field pick b = pick (List.assoc (Config.buffer_id b) per_buffer) in
+  let task_field pick w = pick per_task.(Config.task_id w) in
+  let buffer_field pick b = pick per_buffer.(Config.buffer_id b) in
   let mapped =
     {
       Config.budget = task_field (fun (_, _, m) -> m);

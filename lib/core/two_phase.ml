@@ -89,32 +89,34 @@ let check_budgets cfg budget =
    the exact two-phase simplex so infeasibility verdicts are crisp. *)
 let buffer_lp cfg ~budget =
   let p = Lp.create () in
-  let s1 = Hashtbl.create 16 and s2 = Hashtbl.create 16 in
-  let dvar = Hashtbl.create 16 in
-  List.iter
-    (fun w ->
-      let n = Config.task_name cfg w in
-      Hashtbl.replace s1 (Config.task_id w)
-        (Lp.add_variable p ~name:("s." ^ n ^ ".1") ~lb:None ());
-      Hashtbl.replace s2 (Config.task_id w)
-        (Lp.add_variable p ~name:("s." ^ n ^ ".2") ~lb:None ()))
-    (Config.all_tasks cfg);
-  List.iter
-    (fun b ->
-      let iota = Config.initial_tokens cfg b in
-      let ub =
-        match Config.max_capacity cfg b with
-        | None -> None
-        | Some cap -> Some (float_of_int (cap - iota))
-      in
-      Hashtbl.replace dvar (Config.buffer_id b)
-        (Lp.add_variable p
-           ~name:("delta'." ^ Config.buffer_name cfg b)
-           ~lb:(Some 0.0) ~ub ()))
-    (Config.all_buffers cfg);
-  let sv1 w = Hashtbl.find s1 (Config.task_id w)
-  and sv2 w = Hashtbl.find s2 (Config.task_id w)
-  and dv b = Hashtbl.find dvar (Config.buffer_id b) in
+  let starts =
+    Array.of_list
+      (List.map
+         (fun w ->
+           let n = Config.task_name cfg w in
+           let s1 = Lp.add_variable p ~name:("s." ^ n ^ ".1") ~lb:None () in
+           let s2 = Lp.add_variable p ~name:("s." ^ n ^ ".2") ~lb:None () in
+           (s1, s2))
+         (Config.all_tasks cfg))
+  in
+  let dvar =
+    Array.of_list
+      (List.map
+         (fun b ->
+           let iota = Config.initial_tokens cfg b in
+           let ub =
+             match Config.max_capacity cfg b with
+             | None -> None
+             | Some cap -> Some (float_of_int (cap - iota))
+           in
+           Lp.add_variable p
+             ~name:("delta'." ^ Config.buffer_name cfg b)
+             ~lb:(Some 0.0) ~ub ())
+         (Config.all_buffers cfg))
+  in
+  let sv1 w = fst starts.(Config.task_id w)
+  and sv2 w = snd starts.(Config.task_id w)
+  and dv b = dvar.(Config.buffer_id b) in
   let rho1 w =
     let proc = Config.task_proc cfg w in
     Config.replenishment cfg proc -. budget w
@@ -245,13 +247,13 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
     (* Round eagerly: a NaN budget surfaces here as a typed error
        instead of escaping from some later closure call. *)
     (match
-       List.map
-         (fun w ->
-           ( Config.task_id w,
-             Rounding.round_budget
-               ~granularity:(Config.granularity cfg)
-               (continuous.Socp_builder.budget w) ))
-         (Config.all_tasks cfg)
+       Array.of_list
+         (List.map
+            (fun w ->
+              Rounding.round_budget
+                ~granularity:(Config.granularity cfg)
+                (continuous.Socp_builder.budget w))
+            (Config.all_tasks cfg))
      with
     | exception Rounding.Non_finite { what; value } ->
       Error
@@ -259,7 +261,7 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
            (Printf.sprintf
               "non-finite %s %h emitted by the solver; rounding refused" what
               value))
-    | budgets -> Ok (fun w -> List.assoc (Config.task_id w) budgets))
+    | budgets -> Ok (fun w -> budgets.(Config.task_id w)))
 
 let buffer_first ?(policy = At_bound) ?(fallback = 2) ?params cfg =
   if fallback < 1 then invalid_arg "Two_phase.buffer_first: fallback < 1";

@@ -199,10 +199,38 @@ let shift_left t k =
   else if t.sign = 0 || k = 0 then t
   else { t with mag = shift_left_mag t.mag k }
 
-(* Bit-by-bit long division of magnitudes; quadratic but our operands
+(* Short division by a single limb (< 2^30). *)
+let divmod_small m d =
+  let l = Array.length m in
+  let q = Array.make l 0 in
+  let r = ref 0 in
+  for i = l - 1 downto 0 do
+    let cur = (!r lsl base_bits) lor m.(i) in
+    q.(i) <- cur / d;
+    r := cur mod d
+  done;
+  (norm_mag q, !r)
+
+(* The magnitude of a native int below 2^60. *)
+let mag_of_small v = norm_mag [| v land mask; v lsr base_bits |]
+
+(* Division of magnitudes.  Operands below 2^60 divide natively and a
+   single-limb divisor takes the short division; the general case is
+   bit-by-bit long division, quadratic, but the operands that reach it
    are a handful of limbs. *)
 let divmod_mag a b =
   if compare_mag a b < 0 then ([||], a)
+  else if Array.length a <= 2 then begin
+    let native m =
+      if Array.length m = 2 then (m.(1) lsl base_bits) lor m.(0) else m.(0)
+    in
+    let va = native a and vb = native b in
+    (mag_of_small (va / vb), mag_of_small (va mod vb))
+  end
+  else if Array.length b = 1 then begin
+    let q, r = divmod_small a b.(0) in
+    (q, mag_of_small r)
+  end
   else begin
     let n = bit_length_mag a in
     let q = Array.make ((n + base_bits - 1) / base_bits) 0 in
@@ -286,18 +314,6 @@ let lcm a b =
   else
     let g = gcd a b in
     abs (mul (div a g) b)
-
-(* Short division by a single limb (< 2^30), for decimal printing. *)
-let divmod_small m d =
-  let l = Array.length m in
-  let q = Array.make l 0 in
-  let r = ref 0 in
-  for i = l - 1 downto 0 do
-    let cur = (!r lsl base_bits) lor m.(i) in
-    q.(i) <- cur / d;
-    r := cur mod d
-  done;
-  (norm_mag q, !r)
 
 let chunk = 1_000_000_000
 

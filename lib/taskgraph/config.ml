@@ -34,18 +34,48 @@ type buffer_info = {
   mutable max_capacity : int option;
 }
 
+(* Entities of one kind, in a growable array indexed by their dense
+   id, with a name → id index. *)
+type 'a store = {
+  mutable items : 'a array;
+  mutable len : int;
+  names : (string, int) Hashtbl.t;
+}
+
+let store () = { items = [||]; len = 0; names = Hashtbl.create 16 }
+
+let push s name x =
+  if s.len = Array.length s.items then begin
+    let items = Array.make (Int.max 8 (2 * s.len)) x in
+    Array.blit s.items 0 items 0 s.len;
+    s.items <- items
+  end;
+  let id = s.len in
+  s.items.(id) <- x;
+  s.len <- id + 1;
+  Hashtbl.replace s.names name id;
+  id
+
+let get s what i =
+  if i < 0 || i >= s.len then invalid_arg ("Config: unknown " ^ what);
+  s.items.(i)
+
+(* A copy owns its storage: the live prefix of the array, each element
+   passed through [dup], and its own name index. *)
+let copy_store dup s =
+  {
+    items = Array.map dup (Array.sub s.items 0 s.len);
+    len = s.len;
+    names = Hashtbl.copy s.names;
+  }
+
 type t = {
   granularity : float;
-  mutable procs : proc_info list; (* reversed *)
-  mutable mems : memory_info list;
-  mutable graph_infos : graph_info list;
-  mutable task_infos : task_info list;
-  mutable buffer_infos : buffer_info list;
-  mutable nprocs : int;
-  mutable nmems : int;
-  mutable ngraphs : int;
-  mutable ntasks : int;
-  mutable nbuffers : int;
+  procs : proc_info store;
+  mems : memory_info store;
+  graph_infos : graph_info store;
+  task_infos : task_info store;
+  buffer_infos : buffer_info store;
 }
 
 let create ~granularity () =
@@ -53,46 +83,25 @@ let create ~granularity () =
     invalid_arg "Config.create: granularity must be > 0";
   {
     granularity;
-    procs = [];
-    mems = [];
-    graph_infos = [];
-    task_infos = [];
-    buffer_infos = [];
-    nprocs = 0;
-    nmems = 0;
-    ngraphs = 0;
-    ntasks = 0;
-    nbuffers = 0;
+    procs = store ();
+    mems = store ();
+    graph_infos = store ();
+    task_infos = store ();
+    buffer_infos = store ();
   }
 
-let nth_rev lst n total = List.nth lst (total - 1 - n)
-
-let proc_info t p =
-  if p < 0 || p >= t.nprocs then invalid_arg "Config: unknown processor";
-  nth_rev t.procs p t.nprocs
-
-let memory_info t m =
-  if m < 0 || m >= t.nmems then invalid_arg "Config: unknown memory";
-  nth_rev t.mems m t.nmems
-
-let graph_info t g =
-  if g < 0 || g >= t.ngraphs then invalid_arg "Config: unknown task graph";
-  nth_rev t.graph_infos g t.ngraphs
-
-let task_info t w =
-  if w < 0 || w >= t.ntasks then invalid_arg "Config: unknown task";
-  nth_rev t.task_infos w t.ntasks
-
-let buffer_info t b =
-  if b < 0 || b >= t.nbuffers then invalid_arg "Config: unknown buffer";
-  nth_rev t.buffer_infos b t.nbuffers
+let proc_info t p = get t.procs "processor" p
+let memory_info t m = get t.mems "memory" m
+let graph_info t g = get t.graph_infos "task graph" g
+let task_info t w = get t.task_infos "task" w
+let buffer_info t b = get t.buffer_infos "buffer" b
 
 let name_exists t name =
-  List.exists (fun (p : proc_info) -> p.pname = name) t.procs
-  || List.exists (fun (m : memory_info) -> m.mname = name) t.mems
-  || List.exists (fun (g : graph_info) -> g.gname = name) t.graph_infos
-  || List.exists (fun (w : task_info) -> w.tname = name) t.task_infos
-  || List.exists (fun (b : buffer_info) -> b.bname = name) t.buffer_infos
+  Hashtbl.mem t.procs.names name
+  || Hashtbl.mem t.mems.names name
+  || Hashtbl.mem t.graph_infos.names name
+  || Hashtbl.mem t.task_infos.names name
+  || Hashtbl.mem t.buffer_infos.names name
 
 let check_fresh t name =
   if name_exists t name then
@@ -104,18 +113,12 @@ let add_processor t ~name ~replenishment ?(overhead = 0.0) () =
   if overhead < 0.0 then
     invalid_arg "Config.add_processor: overhead must be >= 0";
   check_fresh t name;
-  let p = t.nprocs in
-  t.procs <- { pname = name; replenishment; overhead } :: t.procs;
-  t.nprocs <- p + 1;
-  p
+  push t.procs name { pname = name; replenishment; overhead }
 
 let add_memory t ~name ~capacity =
   if capacity < 0 then invalid_arg "Config.add_memory: capacity must be >= 0";
   check_fresh t name;
-  let m = t.nmems in
-  t.mems <- { mname = name; capacity } :: t.mems;
-  t.nmems <- m + 1;
-  m
+  push t.mems name { mname = name; capacity }
 
 let add_graph t ~name ~period ?latency_bound () =
   if period <= 0.0 then invalid_arg "Config.add_graph: period must be > 0";
@@ -124,22 +127,15 @@ let add_graph t ~name ~period ?latency_bound () =
     invalid_arg "Config.add_graph: latency bound must be > 0"
   | Some _ | None -> ());
   check_fresh t name;
-  let g = t.ngraphs in
-  t.graph_infos <- { gname = name; period; latency_bound } :: t.graph_infos;
-  t.ngraphs <- g + 1;
-  g
+  push t.graph_infos name { gname = name; period; latency_bound }
 
 let add_task t g ~name ~proc ~wcet ?(weight = 1.0) () =
   ignore (graph_info t g);
   ignore (proc_info t proc);
   if wcet <= 0.0 then invalid_arg "Config.add_task: wcet must be > 0";
   check_fresh t name;
-  let w = t.ntasks in
-  t.task_infos <-
+  push t.task_infos name
     { tname = name; tgraph = g; tproc = proc; wcet; tweight = weight }
-    :: t.task_infos;
-  t.ntasks <- w + 1;
-  w
 
 let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
     ?(initial_tokens = 0) ?(weight = 1.0) ?max_capacity () =
@@ -158,8 +154,7 @@ let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
     invalid_arg "Config.add_buffer: max_capacity below initial tokens"
   | Some _ | None -> ());
   check_fresh t name;
-  let b = t.nbuffers in
-  t.buffer_infos <-
+  push t.buffer_infos name
     {
       bname = name;
       bgraph = g;
@@ -171,25 +166,24 @@ let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
       bweight = weight;
       max_capacity;
     }
-    :: t.buffer_infos;
-  t.nbuffers <- b + 1;
-  b
 
 let copy ?(period_scale = 1.0) t =
   if period_scale <= 0.0 || not (Float.is_finite period_scale) then
     invalid_arg "Config.copy: period_scale must be > 0";
   {
-    t with
-    (* proc and memory infos are immutable and may be shared; the rest
-       carry mutable fields and must be duplicated so that mutations on
+    granularity = t.granularity;
+    (* Proc and memory infos are immutable and may be shared; the rest
+       carry mutable fields and are duplicated, so that mutations on
        the copy never reach the original (and vice versa). *)
+    procs = copy_store Fun.id t.procs;
+    mems = copy_store Fun.id t.mems;
     graph_infos =
-      List.map
+      copy_store
         (fun gi -> { gi with period = gi.period *. period_scale })
         t.graph_infos;
-    task_infos = List.map (fun wi -> { wi with tname = wi.tname }) t.task_infos;
+    task_infos = copy_store (fun wi -> { wi with tname = wi.tname }) t.task_infos;
     buffer_infos =
-      List.map (fun bi -> { bi with bname = bi.bname }) t.buffer_infos;
+      copy_store (fun bi -> { bi with bname = bi.bname }) t.buffer_infos;
   }
 
 let set_period t g mu =
@@ -206,20 +200,16 @@ let set_max_capacity t b cap =
 
 let set_task_weight t w a = (task_info t w).tweight <- a
 let set_buffer_weight t b v = (buffer_info t b).bweight <- v
-let processors t = List.init t.nprocs Fun.id
-let memories t = List.init t.nmems Fun.id
-let graphs t = List.init t.ngraphs Fun.id
-
-let tasks t g =
-  List.filter (fun w -> (task_info t w).tgraph = g) (List.init t.ntasks Fun.id)
+let processors t = List.init t.procs.len Fun.id
+let memories t = List.init t.mems.len Fun.id
+let graphs t = List.init t.graph_infos.len Fun.id
+let all_tasks t = List.init t.task_infos.len Fun.id
+let all_buffers t = List.init t.buffer_infos.len Fun.id
+let tasks t g = List.filter (fun w -> (task_info t w).tgraph = g) (all_tasks t)
 
 let buffers t g =
-  List.filter
-    (fun b -> (buffer_info t b).bgraph = g)
-    (List.init t.nbuffers Fun.id)
+  List.filter (fun b -> (buffer_info t b).bgraph = g) (all_buffers t)
 
-let all_tasks t = List.init t.ntasks Fun.id
-let all_buffers t = List.init t.nbuffers Fun.id
 let granularity t = t.granularity
 let proc_name t p = (proc_info t p).pname
 let replenishment t p = (proc_info t p).replenishment
@@ -249,28 +239,12 @@ let tasks_on t p =
 let buffers_in t m =
   List.filter (fun b -> (buffer_info t b).bmemory = m) (all_buffers t)
 
-let find_by_name infos total get_name name =
-  let rec loop i =
-    if i >= total then raise Not_found
-    else if get_name (nth_rev infos i total) = name then i
-    else loop (i + 1)
-  in
-  loop 0
-
-let find_proc t name =
-  find_by_name t.procs t.nprocs (fun (p : proc_info) -> p.pname) name
-
-let find_memory t name =
-  find_by_name t.mems t.nmems (fun (m : memory_info) -> m.mname) name
-
-let find_graph t name =
-  find_by_name t.graph_infos t.ngraphs (fun (g : graph_info) -> g.gname) name
-
-let find_task t name =
-  find_by_name t.task_infos t.ntasks (fun (w : task_info) -> w.tname) name
-
-let find_buffer t name =
-  find_by_name t.buffer_infos t.nbuffers (fun (b : buffer_info) -> b.bname) name
+let find s name = Hashtbl.find s.names name
+let find_proc t name = find t.procs name
+let find_memory t name = find t.mems name
+let find_graph t name = find t.graph_infos name
+let find_task t name = find t.task_infos name
+let find_buffer t name = find t.buffer_infos name
 
 let task_id w = w
 let buffer_id b = b

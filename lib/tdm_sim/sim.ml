@@ -49,30 +49,31 @@ type buffer_state = {
 type task_state = {
   mutable fired : int;        (** completed executions *)
   mutable busy : bool;
-  mutable completions : float list;  (** reversed *)
-  mutable claim_times : float list;  (** reversed; parallel to completions *)
+  completions : float array;  (** per execution, filled up to [fired] *)
+  claim_times : float array;  (** parallel to [completions] *)
   window_offset : float;
   budget : float;
   interval : float;
   wcet : float;
-  inputs : int list;   (** buffer ids consumed from *)
-  outputs : int list;  (** buffer ids produced into *)
+  inputs : int array;   (** buffer ids consumed from, ascending *)
+  outputs : int array;  (** buffer ids produced into, ascending *)
 }
 
 let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
   if iterations < 4 then invalid_arg "Sim.run: iterations must be >= 4";
   let tasks = Config.all_tasks cfg in
   let buffers = Config.all_buffers cfg in
+  let ntasks = List.length tasks in
   (* Static window layout per processor: overhead first, then one window
      per task in declaration order. *)
-  let offsets = Hashtbl.create 16 in
+  let offsets = Array.make ntasks 0.0 in
   let layout_errors = ref [] in
   List.iter
     (fun p ->
       let cursor = ref (Config.overhead cfg p) in
       List.iter
         (fun w ->
-          Hashtbl.replace offsets (Config.task_id w) !cursor;
+          offsets.(Config.task_id w) <- !cursor;
           cursor := !cursor +. mapped.Config.budget w)
         (Config.tasks_on cfg p);
       if !cursor > Config.replenishment cfg p +. 1e-9 then
@@ -82,102 +83,93 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
             (Config.replenishment cfg p)
           :: !layout_errors)
     (Config.processors cfg);
-  let buffer_states =
-    List.map
-      (fun b ->
-        let cap = mapped.Config.capacity b in
-        let iota = Config.initial_tokens cfg b in
-        if cap < Int.max 1 iota then
-          layout_errors :=
-            Printf.sprintf "buffer %s: invalid capacity %d"
-              (Config.buffer_name cfg b) cap
-            :: !layout_errors;
-        ( Config.buffer_id b,
-          {
-            filled = iota;
-            empty = cap - iota;
-            capacity = cap;
-            high_water = iota;
-            initial_occ = iota;
-            occ_log = [];
-          } ))
-      buffers
+  let bstates =
+    Array.of_list
+      (List.map
+         (fun b ->
+           let cap = mapped.Config.capacity b in
+           let iota = Config.initial_tokens cfg b in
+           if cap < Int.max 1 iota then
+             layout_errors :=
+               Printf.sprintf "buffer %s: invalid capacity %d"
+                 (Config.buffer_name cfg b) cap
+               :: !layout_errors;
+           {
+             filled = iota;
+             empty = cap - iota;
+             capacity = cap;
+             high_water = iota;
+             initial_occ = iota;
+             occ_log = [];
+           })
+         buffers)
   in
-  let task_states =
-    List.map
-      (fun w ->
-        let beta = mapped.Config.budget w in
-        let p = Config.task_proc cfg w in
-        if beta <= 0.0 then
-          layout_errors :=
-            Printf.sprintf "task %s: non-positive budget"
-              (Config.task_name cfg w)
-            :: !layout_errors;
-        ( Config.task_id w,
-          {
-            fired = 0;
-            busy = false;
-            completions = [];
-            claim_times = [];
-            window_offset =
-              (try Hashtbl.find offsets (Config.task_id w) with Not_found -> 0.0);
-            budget = beta;
-            interval = Config.replenishment cfg p;
-            wcet = Config.wcet cfg w;
-            inputs =
-              List.filter_map
-                (fun b ->
-                  if Config.buffer_dst cfg b = w then
-                    Some (Config.buffer_id b)
-                  else None)
-                buffers;
-            outputs =
-              List.filter_map
-                (fun b ->
-                  if Config.buffer_src cfg b = w then
-                    Some (Config.buffer_id b)
-                  else None)
-                buffers;
-          } ))
-      tasks
+  (* One pass over the buffers, last to first, conses every task's
+     inputs and outputs in ascending buffer-id order: the order in which
+     a completion wakes its neighbours, and so the heap's tie-breaking. *)
+  let endpoint f =
+    Array.of_list (List.map (fun b -> Config.task_id (f cfg b)) buffers)
+  in
+  let consumers = endpoint Config.buffer_dst
+  and producers = endpoint Config.buffer_src in
+  let inputs = Array.make ntasks [] and outputs = Array.make ntasks [] in
+  for b = Array.length consumers - 1 downto 0 do
+    inputs.(consumers.(b)) <- b :: inputs.(consumers.(b));
+    outputs.(producers.(b)) <- b :: outputs.(producers.(b))
+  done;
+  let tstates =
+    Array.of_list
+      (List.map
+         (fun w ->
+           let id = Config.task_id w in
+           let beta = mapped.Config.budget w in
+           if beta <= 0.0 then
+             layout_errors :=
+               Printf.sprintf "task %s: non-positive budget"
+                 (Config.task_name cfg w)
+               :: !layout_errors;
+           {
+             fired = 0;
+             busy = false;
+             completions = Array.make iterations 0.0;
+             claim_times = Array.make iterations 0.0;
+             window_offset = offsets.(id);
+             budget = beta;
+             interval = Config.replenishment cfg (Config.task_proc cfg w);
+             wcet = Config.wcet cfg w;
+             inputs = Array.of_list inputs.(id);
+             outputs = Array.of_list outputs.(id);
+           })
+         tasks)
   in
   match !layout_errors with
   | _ :: _ as errs -> Error (String.concat "; " errs)
   | [] ->
-    let bstate id = List.assoc id buffer_states in
-    let tstate id = List.assoc id task_states in
-    let consumers = Hashtbl.create 16 and producers = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        Hashtbl.replace consumers (Config.buffer_id b)
-          (Config.task_id (Config.buffer_dst cfg b));
-        Hashtbl.replace producers (Config.buffer_id b)
-          (Config.task_id (Config.buffer_src cfg b)))
-      buffers;
     let events = Heap.create () in
     let makespan = ref 0.0 in
     (* Try to start an execution of the task at time [now]; claims one
        filled container on each input and one empty container on each
        output, then schedules the completion event. *)
     let try_start now id =
-      let st = tstate id in
+      let st = tstates.(id) in
       if (not st.busy) && st.fired < iterations then begin
         let ready =
-          List.for_all (fun b -> (bstate b).filled >= 1) st.inputs
-          && List.for_all (fun b -> (bstate b).empty >= 1) st.outputs
+          Array.for_all (fun b -> bstates.(b).filled >= 1) st.inputs
+          && Array.for_all (fun b -> bstates.(b).empty >= 1) st.outputs
         in
         if ready then begin
-          List.iter (fun b -> (bstate b).filled <- (bstate b).filled - 1) st.inputs;
-          List.iter
+          Array.iter (fun b -> bstates.(b).filled <- bstates.(b).filled - 1)
+            st.inputs;
+          Array.iter
             (fun b ->
-              let bs = bstate b in
+              let bs = bstates.(b) in
               bs.empty <- bs.empty - 1;
               if bs.capacity - bs.empty > bs.high_water then
                 bs.high_water <- bs.capacity - bs.empty;
               bs.occ_log <- (now, bs.capacity - bs.empty) :: bs.occ_log)
             st.outputs;
           st.busy <- true;
-          st.claim_times <- now :: st.claim_times;
+          st.claim_times.(st.fired) <- now;
           let work =
             match execution_time with
             | None -> st.wcet
@@ -195,59 +187,49 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
         end
       end
     in
-    List.iter (fun (id, _) -> try_start 0.0 id) task_states;
+    for id = 0 to ntasks - 1 do
+      try_start 0.0 id
+    done;
     let rec drain () =
       match Heap.pop events with
       | None -> ()
       | Some (now, id) ->
-        let st = tstate id in
+        let st = tstates.(id) in
         st.busy <- false;
+        st.completions.(st.fired) <- now;
         st.fired <- st.fired + 1;
-        st.completions <- now :: st.completions;
         if now > !makespan then makespan := now;
         (* Produced data wakes consumers; released space wakes
            producers. *)
-        List.iter
+        Array.iter
           (fun b ->
-            (bstate b).filled <- (bstate b).filled + 1;
-            try_start now (Hashtbl.find consumers b))
+            bstates.(b).filled <- bstates.(b).filled + 1;
+            try_start now consumers.(b))
           st.outputs;
-        List.iter
+        Array.iter
           (fun b ->
-            let bs = bstate b in
+            let bs = bstates.(b) in
             bs.empty <- bs.empty + 1;
             bs.occ_log <- (now, bs.capacity - bs.empty) :: bs.occ_log;
-            try_start now (Hashtbl.find producers b))
+            try_start now producers.(b))
           st.inputs;
         try_start now id;
         drain ()
     in
     drain ();
     let unfinished =
-      List.filter (fun (_, st) -> st.fired < iterations) task_states
+      Array.fold_left
+        (fun n st -> if st.fired < iterations then n + 1 else n)
+        0 tstates
     in
-    if unfinished <> [] then
+    if unfinished > 0 then
       Error
         (Printf.sprintf "deadlock: %d task(s) stalled before reaching %d \
                          executions"
-           (List.length unfinished) iterations)
+           unfinished iterations)
     else begin
-      let completion_arrays =
-        List.map
-          (fun (id, st) ->
-            (id, Array.of_list (List.rev st.completions)))
-          task_states
-      in
-      let execution_arrays =
-        List.map
-          (fun (id, st) ->
-            let claims = Array.of_list (List.rev st.claim_times)
-            and ends = Array.of_list (List.rev st.completions) in
-            (id, Array.init (Array.length ends) (fun i -> (claims.(i), ends.(i)))))
-          task_states
-      in
       let task_period w =
-        let arr = List.assoc (Config.task_id w) completion_arrays in
+        let arr = tstates.(Config.task_id w).completions in
         let n = Array.length arr in
         let k1 = n / 2 and k2 = n - 1 in
         (arr.(k2) -. arr.(k1)) /. float_of_int (k2 - k1)
@@ -260,12 +242,13 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
               List.fold_left
                 (fun acc w -> Float.max acc (task_period w))
                 0.0 (Config.tasks cfg g));
-          task_completions =
-            (fun w -> List.assoc (Config.task_id w) completion_arrays);
+          task_completions = (fun w -> tstates.(Config.task_id w).completions);
           task_executions =
-            (fun w -> List.assoc (Config.task_id w) execution_arrays);
+            (fun w ->
+              let st = tstates.(Config.task_id w) in
+              Array.map2 (fun c e -> (c, e)) st.claim_times st.completions);
           buffer_high_water =
-            (fun b -> (bstate (Config.buffer_id b)).high_water);
+            (fun b -> bstates.(Config.buffer_id b).high_water);
           buffer_high_water_steady =
             (fun b ->
               (* Max occupancy over the second half of the run.  The
@@ -274,7 +257,7 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
                  change and at the end of the log (a buffer whose
                  occupancy never changes after the midpoint still
                  holds [current] containers throughout). *)
-              let bs = bstate (Config.buffer_id b) in
+              let bs = bstates.(Config.buffer_id b) in
               let half = !makespan /. 2.0 in
               let rec go current best = function
                 | [] -> Int.max best current

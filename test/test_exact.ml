@@ -138,6 +138,51 @@ let test_bigint_gcd_qcheck () =
       in
       B.equal (B.gcd a b) (euclid a b))
 
+(* Division has three paths: native ints below 2^60, short division by
+   a single-limb divisor, and long division.  The oracle is the
+   definition: a = q·b + r with |r| < |b| and r carrying a's sign.
+   Operands are 1–4 limbs, each limb random or a boundary value, or
+   one of the limb-boundary integers themselves. *)
+let test_bigint_divmod_qcheck () =
+  let boundary = [ (1 lsl 30) - 1; 1 lsl 30; (1 lsl 60) - 1 ] in
+  let limb =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_bound ((1 lsl 30) - 1));
+          (1, oneofl [ 0; 1; (1 lsl 30) - 1 ]);
+        ])
+  in
+  let magnitude =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map
+              (List.fold_left
+                 (fun acc l -> B.add (B.shift_left acc 30) (B.of_int l))
+                 B.zero)
+              (list_size (int_range 1 4) limb) );
+          (1, map B.of_int (oneofl boundary));
+        ])
+  in
+  let operand =
+    QCheck.Gen.map2 (fun m neg -> if neg then B.neg m else m) magnitude
+      QCheck.Gen.bool
+  in
+  let divisor =
+    QCheck.Gen.map (fun b -> if B.is_zero b then B.one else b) operand
+  in
+  QCheck.Test.make ~count:2000 ~name:"divmod satisfies its definition"
+    (QCheck.make
+       ~print:(fun (a, b) -> B.to_string a ^ " / " ^ B.to_string b)
+       (QCheck.Gen.pair operand divisor))
+    (fun (a, b) ->
+      let q, r = B.divmod a b in
+      B.equal a (B.add (B.mul q b) r)
+      && B.compare (B.abs r) (B.abs b) < 0
+      && (B.is_zero r || B.sign r = B.sign a))
+
 let test_rat_of_float_roundtrip_qcheck () =
   QCheck.Test.make ~count:500 ~name:"of_float/to_float round-trip"
     QCheck.(float_range (-1e15) 1e15)
@@ -394,6 +439,7 @@ let () =
           Alcotest.test_case "gcd lcm" `Quick test_bigint_gcd_lcm;
           Alcotest.test_case "big decimal" `Quick test_bigint_string_big;
           QCheck_alcotest.to_alcotest (test_bigint_gcd_qcheck ());
+          QCheck_alcotest.to_alcotest (test_bigint_divmod_qcheck ());
         ] );
       ( "rat",
         [

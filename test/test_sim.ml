@@ -727,6 +727,117 @@ let prop_more_budget_never_slower =
       in
       run (beta +. 2.0) <= run beta +. bias ~interval:40.0 ~iterations:400)
 
+(* ------------------------------------------------------------------ *)
+(* Bit-identity golden                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed, solver-independent mapping: every processor hands out
+   between 30 % and 90 % of an even share of its interval, and every
+   buffer gets one to three containers above its initial tokens, so
+   the runs exercise both window waits and back-pressure. *)
+let golden_mapped cfg =
+  let share w =
+    let p = Config.task_proc cfg w in
+    (Config.replenishment cfg p -. Config.overhead cfg p)
+    /. float_of_int (List.length (Config.tasks_on cfg p))
+  in
+  let frac w =
+    let x = float_of_int (Config.task_id w) *. 0.618034 in
+    x -. Float.of_int (truncate x)
+  in
+  {
+    Config.budget = (fun w -> share w *. (0.3 +. (0.6 *. frac w)));
+    capacity =
+      (fun b -> Config.initial_tokens cfg b + 1 + (Config.buffer_id b mod 3));
+  }
+
+(* Every field of the report, floats in hex so that the digest sees
+   every bit. *)
+let report_digest cfg (r : Sim.report) =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  List.iter
+    (fun w ->
+      add "t%d %h|" (Config.task_id w) (r.Sim.task_period w);
+      Array.iter (fun c -> add "%h," c) (r.Sim.task_completions w);
+      Array.iter (fun (s, e) -> add "%h:%h," s e) (r.Sim.task_executions w))
+    (Config.all_tasks cfg);
+  List.iter
+    (fun b ->
+      add "b%d %d %d|" (Config.buffer_id b) (r.Sim.buffer_high_water b)
+        (r.Sim.buffer_high_water_steady b))
+    (Config.all_buffers cfg);
+  List.iter
+    (fun g -> add "g%d %h|" (Config.graph_id g) (r.Sim.graph_period g))
+    (Config.graphs cfg);
+  add "m %h" r.Sim.makespan;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_instances () =
+  let rng = Workloads.Rng.create 17L in
+  [
+    ("chain30", Workloads.Gen.chain ~n:30 ~wcet:1.5 ());
+    ("chain100", Workloads.Gen.chain ~n:100 ~wcet:0.8 ~shared_procs:40 ());
+    ("mesh6", Workloads.Gen.mesh ~rows:6 ~cols:6 ~wcet:1.2 ());
+    ("tree5", Workloads.Gen.binary_tree ~depth:5 ~wcet:0.9 ());
+    ("splitjoin30", Workloads.Gen.split_join ~branches:30 ~wcet:1.1 ());
+    ( "multijob10x5",
+      Workloads.Gen.multi_job rng ~jobs:10 ~tasks_per_job:5 ~procs:10 () );
+    ("rchain12", Workloads.Gen.random_chain rng ~n:12 ());
+    ("rchain40", Workloads.Gen.random_chain rng ~n:40 ());
+  ]
+
+(* Digests recorded from the list-based simulator this one replaced;
+   a change here means the event order or a reported value moved. *)
+let golden_digests =
+  [
+    ( "chain30",
+      "902e39f80216df9f4c8841785aee3714",
+      "cd8cb8fd109eca5c50acddc4aff4bfcd" );
+    ( "chain100",
+      "3bf896d337772f954250971364617c56",
+      "e49880c1e13f0393768c0e1a316c7f43" );
+    ( "mesh6",
+      "d2136598d582505095cdd47c3b945aba",
+      "9943a6280201482ba51bb16b37510c71" );
+    ( "tree5",
+      "94ce4cd21a474ffa6b0d991bf6cf3ffc",
+      "ccdf40e99fb0f60c199a7f959e178f0e" );
+    ( "splitjoin30",
+      "5044b98e9039f739213526c3fec85552",
+      "1d92c3dd60ca091b751d1fd074d0b038" );
+    ( "multijob10x5",
+      "009bd50e36c4561b7c7984eb9ebdff8a",
+      "d727d76f97e8486df3bb75eff2108bd0" );
+    ( "rchain12",
+      "12a8c6fa4252ae2fdcf27ee67174a06e",
+      "be19e074b553015afa5d3072f77a95a6" );
+    ( "rchain40",
+      "2f18becc106629145f55176a5850b918",
+      "e9d0ba59547406bc4ffa9d63d7d43dcb" );
+  ]
+
+let test_sim_golden () =
+  List.iter
+    (fun (name, cfg) ->
+      let mapped = golden_mapped cfg in
+      let digest ?execution_time () =
+        match Sim.run cfg mapped ~iterations:200 ?execution_time () with
+        | Ok r -> report_digest cfg r
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let rng = Workloads.Rng.create 99L in
+      let jitter w _ =
+        Workloads.Rng.float rng ~lo:0.1 ~hi:(Config.wcet cfg w)
+      in
+      let wcet_d = digest () and jitter_d = digest ~execution_time:jitter () in
+      let _, want_wcet, want_jitter =
+        List.find (fun (n, _, _) -> n = name) golden_digests
+      in
+      Alcotest.(check string) (name ^ " wcet") want_wcet wcet_d;
+      Alcotest.(check string) (name ^ " jitter") want_jitter jitter_d)
+    (golden_instances ())
+
 let () =
   Alcotest.run "tdm_sim"
     [
@@ -797,6 +908,8 @@ let () =
         ] );
       ( "isolation",
         List.map QCheck_alcotest.to_alcotest [ prop_budget_isolation ] );
+      ( "golden",
+        [ Alcotest.test_case "report digests" `Quick test_sim_golden ] );
       ( "conservativeness",
         List.map QCheck_alcotest.to_alcotest
           [ prop_model_conservative; prop_more_budget_never_slower ] );

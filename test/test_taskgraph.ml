@@ -64,6 +64,161 @@ let test_duplicate_names_rejected () =
            ~proc:(Config.find_proc cfg "p1")
            ~wcet:1.0 ()))
 
+(* Twelve entities of every kind (24 tasks), past the store's initial
+   capacity of 8, so every kind's array grows at least once.  Task [i]
+   sits in graph and on processor [i mod 12]; buffer [j] joins task [j]
+   to task [j + 12] of the same graph. *)
+let grown () =
+  let cfg = Config.create ~granularity:0.5 () in
+  let n = 12 in
+  let procs =
+    List.init n (fun i ->
+        Config.add_processor cfg ~name:(Printf.sprintf "p%d" i)
+          ~replenishment:(40.0 +. float_of_int i)
+          ~overhead:(float_of_int i /. 8.0) ())
+  in
+  let mems =
+    List.init n (fun i ->
+        Config.add_memory cfg ~name:(Printf.sprintf "m%d" i)
+          ~capacity:(100 + i))
+  in
+  let graphs =
+    List.init n (fun i ->
+        Config.add_graph cfg ~name:(Printf.sprintf "g%d" i)
+          ~period:(10.0 +. float_of_int i)
+          ?latency_bound:(if i mod 3 = 0 then Some 90.0 else None)
+          ())
+  in
+  let tasks =
+    List.init (2 * n) (fun i ->
+        Config.add_task cfg (List.nth graphs (i mod n))
+          ~name:(Printf.sprintf "w%d" i) ~proc:(List.nth procs (i mod n))
+          ~wcet:(1.0 +. (float_of_int i /. 4.0))
+          ~weight:(float_of_int (i + 1)) ())
+  in
+  let buffers =
+    List.init n (fun j ->
+        Config.add_buffer cfg (List.nth graphs j)
+          ~name:(Printf.sprintf "b%d" j) ~src:(List.nth tasks j)
+          ~dst:(List.nth tasks (j + n)) ~memory:(List.nth mems j)
+          ~container_size:(1 + j) ~initial_tokens:(j mod 2)
+          ~weight:(float_of_int j /. 2.0)
+          ?max_capacity:(if j mod 4 = 0 then Some (j + 3) else None)
+          ())
+  in
+  (cfg, procs, mems, graphs, tasks, buffers)
+
+let test_store_growth () =
+  let cfg, procs, mems, graphs, tasks, buffers = grown () in
+  let check_ids what handles all find id =
+    Alcotest.(check bool) (what ^ " in declaration order") true (all = handles);
+    List.iteri
+      (fun i h ->
+        Alcotest.(check int) (what ^ " id") i (id h);
+        Alcotest.(check int)
+          (what ^ " found by name")
+          i
+          (id (find (Printf.sprintf "%s%d" what i))))
+      handles
+  in
+  check_ids "p" procs (Config.processors cfg) (Config.find_proc cfg)
+    Config.proc_id;
+  check_ids "m" mems (Config.memories cfg) (Config.find_memory cfg)
+    Config.memory_id;
+  check_ids "g" graphs (Config.graphs cfg) (Config.find_graph cfg)
+    Config.graph_id;
+  check_ids "w" tasks (Config.all_tasks cfg) (Config.find_task cfg)
+    Config.task_id;
+  check_ids "b" buffers (Config.all_buffers cfg) (Config.find_buffer cfg)
+    Config.buffer_id;
+  List.iteri
+    (fun i p ->
+      check_float 0.0 "replenishment" (40.0 +. float_of_int i)
+        (Config.replenishment cfg p);
+      Alcotest.(check bool) "tasks_on" true
+        (Config.tasks_on cfg p
+        = [ List.nth tasks i; List.nth tasks (i + 12) ]))
+    procs;
+  List.iteri
+    (fun i m ->
+      Alcotest.(check int) "capacity" (100 + i) (Config.memory_capacity cfg m))
+    mems;
+  List.iteri
+    (fun i w ->
+      Alcotest.(check string) "task name" (Printf.sprintf "w%d" i)
+        (Config.task_name cfg w);
+      check_float 0.0 "wcet"
+        (1.0 +. (float_of_int i /. 4.0))
+        (Config.wcet cfg w);
+      Alcotest.(check int) "task graph" (i mod 12)
+        (Config.graph_id (Config.task_graph cfg w)))
+    tasks;
+  List.iteri
+    (fun j b ->
+      Alcotest.(check int) "src" j (Config.task_id (Config.buffer_src cfg b));
+      Alcotest.(check int) "dst" (j + 12)
+        (Config.task_id (Config.buffer_dst cfg b));
+      Alcotest.(check int) "container" (1 + j) (Config.container_size cfg b);
+      Alcotest.(check (option int)) "max"
+        (if j mod 4 = 0 then Some (j + 3) else None)
+        (Config.max_capacity cfg b))
+    buffers;
+  let text = Format.asprintf "%a" Config.pp cfg in
+  Alcotest.(check string) "pp ∘ parse is the identity" text
+    (Format.asprintf "%a" Config.pp (Parse.config_of_string text))
+
+(* A copy owns its arrays and name index: entities added to one side
+   land in slack capacity that the other side must not see. *)
+let test_copy_independent () =
+  let cfg, procs, mems, graphs, tasks, _ = grown () in
+  let snapshot c = Format.asprintf "%a" Config.pp c in
+  let before = snapshot cfg in
+  let copy = Config.copy cfg in
+  let g0 = List.hd graphs and p0 = List.hd procs and m0 = List.hd mems in
+  let add_pair c prefix =
+    let x = Config.add_task c g0 ~name:(prefix ^ "x") ~proc:p0 ~wcet:1.0 () in
+    ignore
+      (Config.add_buffer c g0 ~name:(prefix ^ "bx") ~src:(List.hd tasks) ~dst:x
+         ~memory:m0 ());
+    x
+  in
+  let on_copy = add_pair copy "copy." in
+  Config.set_period copy g0 99.0;
+  Alcotest.(check string) "original untouched by the copy" before
+    (snapshot cfg);
+  Alcotest.check_raises "copy's name unknown to the original" Not_found
+    (fun () -> ignore (Config.find_task cfg "copy.x"));
+  let copy_text = snapshot copy in
+  let on_orig = add_pair cfg "orig." in
+  Config.set_period cfg g0 77.0;
+  Alcotest.(check string) "copy untouched by the original" copy_text
+    (snapshot copy);
+  Alcotest.(check int) "same slot on both sides" (Config.task_id on_copy)
+    (Config.task_id on_orig);
+  Alcotest.(check string) "copy keeps its own task" "copy.x"
+    (Config.task_name copy on_copy);
+  Alcotest.(check string) "original keeps its own task" "orig.x"
+    (Config.task_name cfg on_orig);
+  check_float 0.0 "copy period" 99.0 (Config.period copy g0);
+  check_float 0.0 "original period" 77.0 (Config.period cfg g0);
+  Alcotest.(check int) "copy task count" 25
+    (List.length (Config.all_tasks copy));
+  Alcotest.(check int) "original task count" 25
+    (List.length (Config.all_tasks cfg))
+
+(* One namespace across kinds: a task may not reuse a processor's name,
+   nor a buffer a graph's. *)
+let test_duplicate_across_kinds () =
+  let cfg, p1, _, m1, g, wa, wb, _ = sample () in
+  Alcotest.check_raises "task named like a processor"
+    (Invalid_argument "Config: duplicate name \"p1\"") (fun () ->
+      ignore (Config.add_task cfg g ~name:"p1" ~proc:p1 ~wcet:1.0 ()));
+  Alcotest.check_raises "buffer named like a graph"
+    (Invalid_argument "Config: duplicate name \"job\"") (fun () ->
+      ignore
+        (Config.add_buffer cfg g ~name:"job" ~src:wa ~dst:wb ~memory:m1 ()));
+  Alcotest.(check int) "nothing added" 2 (List.length (Config.all_tasks cfg))
+
 let test_cross_graph_buffer_rejected () =
   let cfg = Config.create ~granularity:1.0 () in
   let p = Config.add_processor cfg ~name:"p" ~replenishment:40.0 () in
@@ -331,6 +486,10 @@ let () =
           Alcotest.test_case "lookup" `Quick test_lookup;
           Alcotest.test_case "duplicate names" `Quick
             test_duplicate_names_rejected;
+          Alcotest.test_case "duplicate across kinds" `Quick
+            test_duplicate_across_kinds;
+          Alcotest.test_case "store growth" `Quick test_store_growth;
+          Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "cross-graph buffer" `Quick
             test_cross_graph_buffer_rejected;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
